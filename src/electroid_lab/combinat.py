@@ -113,14 +113,6 @@ class Matching:
         if any(a == b for a, b in self.pairs):
             raise ValueError("fixed point in matching")
 
-    def partner(self, x: int) -> int:
-        for a, b in self.pairs:
-            if x == a:
-                return b
-            if x == b:
-                return a
-        raise KeyError(x)
-
     def partner_map(self) -> dict[int, int]:
         out = {}
         for a, b in self.pairs:
@@ -168,17 +160,6 @@ class CatalanSubset:
 
     def __str__(self):
         return ",".join(str(x) for x in sorted(self.elements))
-
-
-def subset_str(elements) -> str:
-    return ",".join(str(x) for x in sorted(elements))
-
-
-def parse_subset(text: str) -> frozenset[int]:
-    text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(int(tok) for tok in text.split(","))
 
 
 def is_catalan_subset(elements, base: int, n: int) -> bool:
@@ -269,25 +250,26 @@ def crossing_number(tau: Matching) -> int:
     return count
 
 
-def partition_of_matching(tau: Matching, require_noncrossing: bool = True) -> NCPartition:
+def _find(parent, x):
+    """Root of x in a union-find forest stored as a parent list or dict, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def partition_of_matching(tau: Matching) -> NCPartition:
     """Inverse of matching_of_partition, defined on non-crossing matchings."""
-    if require_noncrossing and crossing_number(tau) != 0:
+    if crossing_number(tau) != 0:
         raise NotNonCrossingError(f"matching has crossings: {tau}")
     n = tau.n
     parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in tau.pairs:
-        ra, rb = find((a + 1) // 2), find((b + 1) // 2)
+        ra, rb = _find(parent, (a + 1) // 2), _find(parent, (b + 1) // 2)
         parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     sigma = NCPartition.of(n, groups.values())
     if matching_of_partition(sigma) != tau:
         raise NotNonCrossingError(f"matching is not of partition type: {tau}")
@@ -304,21 +286,15 @@ def dual(sigma: NCPartition) -> NCPartition:
     n = sigma.n
     parent = list(range(n + 1))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def tilde_of(slot):
         return (slot // 2) if slot % 2 == 0 else ((slot - 1) // 2) or n
 
     for a, b in tau.pairs:
-        ra, rb = find(tilde_of(a)), find(tilde_of(b))
+        ra, rb = _find(parent, tilde_of(a)), _find(parent, tilde_of(b))
         parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     return NCPartition.of(n, groups.values())
 
 
@@ -380,9 +356,7 @@ def partition_of_subset(elements, a: int, n: int) -> NCPartition:
         return (pos - 1 + (a - 1)) % N + 1
 
     tau = Matching.of(n, [(unshift(x), unshift(y)) for x, y in pairs])
-    sigma = partition_of_matching(tau)
-    assert catalan_subset(sigma, a).elements == elements
-    return sigma
+    return partition_of_matching(tau)
 
 
 def dominance_leq(I, J, a: int, modulus: int) -> bool:
@@ -393,13 +367,6 @@ def dominance_leq(I, J, a: int, modulus: int) -> bool:
     ri = sorted(cyclic_rank(x, a, modulus) for x in I)
     rj = sorted(cyclic_rank(x, a, modulus) for x in J)
     return all(x <= y for x, y in zip(ri, rj))
-
-
-def partition_leq_shifted(sigma: NCPartition, kappa: NCPartition, s: int) -> bool:
-    """Shifted dominance order on partitions via their Catalan subsets."""
-    return dominance_leq(
-        catalan_subset(sigma, s).elements, catalan_subset(kappa, s).elements, s, 2 * sigma.n
-    )
 
 
 def catalan_number(n: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .combinat import dual
+from .combinat import _find, dual
 
 BMINUS = ("flank", -1)
 BPLUS = ("flank", +1)
@@ -68,16 +68,9 @@ def class_index_map(shape) -> dict[int, int]:
     return {b: ci for ci, part in enumerate(shape.parts) for b in part}
 
 
-def edge_components(net):
-    """Union-find over edges, joined through shared interior vertices."""
+def edge_components(net) -> list[int]:
+    """Component root of every edge, edges joined through shared interior vertices."""
     parent = list(range(len(net.edges)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_interior: dict[int, list[int]] = {}
     for idx, e in enumerate(net.edges):
         for kind, j in (e.u, e.v):
@@ -85,8 +78,8 @@ def edge_components(net):
                 by_interior.setdefault(j, []).append(idx)
     for edges in by_interior.values():
         for other in edges[1:]:
-            parent[find(edges[0])] = find(other)
-    return find
+            parent[_find(parent, edges[0])] = _find(parent, other)
+    return [_find(parent, idx) for idx in range(len(net.edges))]
 
 
 def disk_view(net) -> DiskView:
@@ -98,7 +91,7 @@ def disk_view(net) -> DiskView:
 
     disks = [Disk(d, tuple(sorted(part))) for d, part in enumerate(gap_parts)]
 
-    find = edge_components(net)
+    root_of = edge_components(net)
     comp_disk: dict[int, int] = {}
     for idx, e in enumerate(net.edges):
         for kind, b in (e.u, e.v):
@@ -110,14 +103,14 @@ def disk_view(net) -> DiskView:
             for p in positions:
                 side_gap = b if p < split else _prev_gap(b, n)
                 d = disk_of_gap[side_gap]
-                root = find(idx)
+                root = root_of[idx]
                 if comp_disk.setdefault(root, d) != d:
                     raise EmbeddingError(
                         f"edge component {root} straddles two disks (edge {idx})"
                     )
     disk_of_edge = {}
     for idx in range(len(net.edges)):
-        root = find(idx)
+        root = root_of[idx]
         if root not in comp_disk:
             raise EmbeddingError(f"edge component {root} is not attached to the boundary")
         disk_of_edge[idx] = comp_disk[root]
@@ -187,11 +180,11 @@ def derive_rsplit(net) -> dict[int, int]:
     n = net.n
     gap_parts = dual(net.shape).parts
     disk_of_gap = {g: d for d, part in enumerate(gap_parts) for g in part}
-    find = edge_components(net)
+    root_of = edge_components(net)
 
     comp_choices: dict[int, set[int]] = {}
     for idx, e in enumerate(net.edges):
-        root = find(idx)
+        root = root_of[idx]
         for kind, b in (e.u, e.v):
             if kind != "b":
                 continue
@@ -216,7 +209,7 @@ def derive_rsplit(net) -> dict[int, int]:
             continue
         sides = []
         for dart in rot:
-            d = comp_disk[find(dart[0])]
+            d = comp_disk[root_of[dart[0]]]
             if d == right_disk:
                 sides.append("R")
             elif d == left_disk:
@@ -262,7 +255,7 @@ def _disk_rotations(disk: Disk, net):
     return rot
 
 
-def _reverse(dart, net):
+def _reverse(dart):
     if dart[0] == "arc":
         _, i, direction = dart
         return ("arc", i, -direction)
@@ -270,15 +263,12 @@ def _reverse(dart, net):
     return ("e", idx, 1 - end)
 
 
-def disk_faces(disk: Disk, net, view: DiskView) -> DiskFaces:
+def disk_faces(disk: Disk, net) -> DiskFaces:
     """Face orbits of the disk graph; the outer face is listed first.
 
     Faces are orbits of dart -> clockwise-next(reverse(dart)) around the
     head of the dart; the outer face is the orbit of any forward arc dart.
     """
-    visit_lookup = {
-        dart: vi for vi, visit in enumerate(disk.visits) for dart in visit.darts
-    }
     rot = _disk_rotations(disk, net)
     # rotation entries are outgoing darts; walking a face means arriving
     # along d and continuing with the clockwise-next dart after reverse(d)
@@ -288,7 +278,7 @@ def disk_faces(disk: Disk, net, view: DiskView) -> DiskFaces:
             index_at[dart] = (vertex, pos)
 
     def face_next(d):
-        r = _reverse(d, net)
+        r = _reverse(d)
         vertex, pos = index_at[r]
         darts = rot[vertex]
         return darts[(pos + 1) % len(darts)]
@@ -313,8 +303,6 @@ def disk_faces(disk: Disk, net, view: DiskView) -> DiskFaces:
     for fi, orbit in enumerate(faces):
         for d in orbit:
             face_of_dart[d] = fi
-    if face_of_dart[("arc", 0, +1)] != 0:
-        raise AssertionError("outer face bookkeeping broken")
     face_of_gap = {}
     for i, g in enumerate(disk.gaps):
         face_of_gap[g] = face_of_dart[("arc", i, -1)]
@@ -326,7 +314,7 @@ def disk_faces(disk: Disk, net, view: DiskView) -> DiskFaces:
 def euler_check(net, view: DiskView):
     """Per-disk planarity: vertices - edges + faces must equal 2."""
     for disk in view.disks:
-        dfaces = disk_faces(disk, net, view)
+        dfaces = disk_faces(disk, net)
         V = len(disk.visits) + len(disk.interior)
         E = len(disk.edge_ids) + len(disk.gaps)
         F = len(dfaces.faces)

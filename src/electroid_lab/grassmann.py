@@ -409,10 +409,6 @@ def apply_move(N: PlanarBipartiteGraph, move: str, site) -> PlanarBipartiteGraph
     raise BipartiteError(f"unknown move {move!r}")
 
 
-def _rebuild_b(N, m, interior, color, edges, rotation):
-    return PlanarBipartiteGraph(m, interior, dict(color), tuple(edges), rotation)
-
-
 def _drop_bedges(N: PlanarBipartiteGraph, dead: set, weight_scale=None):
     keep = [i for i in range(len(N.edges)) if i not in dead]
     emap = {i: p for p, i in enumerate(keep)}
@@ -425,7 +421,7 @@ def _drop_bedges(N: PlanarBipartiteGraph, dead: set, weight_scale=None):
         vtx: tuple((emap[i], end) for i, end in darts if i in emap)
         for vtx, darts in N.rotation.items()
     }
-    return _rebuild_b(N, N.m, N.interior, N.color, edges, rot), emap
+    return PlanarBipartiteGraph(N.m, N.interior, N.color, edges, rot), emap
 
 
 def _drop_interior_vertices(N: PlanarBipartiteGraph, dead: set):
@@ -452,7 +448,7 @@ def _drop_interior_vertices(N: PlanarBipartiteGraph, dead: set):
         else:
             rot[vtx] = darts
     color = {vmap[j]: c for j, c in N.color.items() if j not in dead}
-    return _rebuild_b(N, N.m, nxt, color, edges, rot)
+    return PlanarBipartiteGraph(N.m, nxt, color, edges, rot)
 
 
 def _move_parallel(N, pair):
@@ -463,7 +459,7 @@ def _move_parallel(N, pair):
     edges = list(N.edges)
     edges[i1] = BEdge(e1.u, e1.v, e1.w + e2.w)
     out, _ = _drop_bedges(
-        _rebuild_b(N, N.m, N.interior, N.color, edges, N.rotation), {i2}
+        PlanarBipartiteGraph(N.m, N.interior, N.color, edges, N.rotation), {i2}
     )
     return out
 
@@ -505,7 +501,7 @@ def _move_leaf(N, leaf):
         edges.append(BEdge(b, ("i", out_interior), Fraction(1)))
         rot[b] = [(eidx, 0)]
         rot[("i", out_interior)] = [(eidx, 1)]
-    return _rebuild_b(out, out.m, len(color), color, edges, rot)
+    return PlanarBipartiteGraph(out.m, len(color), color, edges, rot)
 
 
 def _move_valent_two(N, site):
@@ -539,7 +535,7 @@ def _move_valent_two(N, site):
         ]
         rot[v] = []
         out, _ = _drop_bedges(
-            _rebuild_b(N, N.m, N.interior, N.color, edges, rot), {i1, i2}
+            PlanarBipartiteGraph(N.m, N.interior, N.color, edges, rot), {i1, i2}
         )
         return _drop_interior_vertices(out, {site})
     scale = {}
@@ -565,7 +561,7 @@ def _move_valent_two(N, site):
         for e in N.edges
     ]
     out, _ = _drop_bedges(
-        _rebuild_b(N, N.m, N.interior, N.color, edges, rot), {i1, i2}, scale
+        PlanarBipartiteGraph(N.m, N.interior, N.color, edges, rot), {i1, i2}, scale
     )
     return _drop_interior_vertices(out, {site, y[1]})
 
@@ -647,7 +643,7 @@ def _move_square(N, quad):
         old = {d for d in rot[vtx] if d[0] in dead}
         replace(vtx, old, new)
     out, _ = _drop_bedges(
-        _rebuild_b(N, N.m, N.interior, N.color, edges, rot), dead
+        PlanarBipartiteGraph(N.m, N.interior, N.color, edges, rot), dead
     )
     return out
 

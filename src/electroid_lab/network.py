@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import embedding
-from .combinat import NCPartition
+from .combinat import NCPartition, _find
 from .linalg import det, mat_solve
 from .vectors import GroveVector
 
@@ -46,6 +46,7 @@ class CactusNetwork:
     rsplit: dict  # boundary position -> prefix length of its rotation list
 
     def __post_init__(self):
+        self.edges = tuple(self.edges)
         self.rotation = {k: tuple(v) for k, v in self.rotation.items()}
         for b in range(1, self.n + 1):
             self.rotation.setdefault(("b", b), ())
@@ -216,19 +217,12 @@ def grove_vector(net: CactusNetwork) -> GroveVector:
 
     for mask in range(1 << m):
         parent = list(range(len(verts)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         weight = Fraction(1)
         acyclic = True
         for i in range(m):
             if mask >> i & 1:
                 a, b, w = qedges[i]
-                ra, rb = find(a), find(b)
+                ra, rb = _find(parent, a), _find(parent, b)
                 if ra == rb:
                     acyclic = False
                     break
@@ -236,12 +230,15 @@ def grove_vector(net: CactusNetwork) -> GroveVector:
                 weight *= w
         if not acyclic:
             continue
-        roots_with_boundary = {find(vid[("c", ci)]) for ci in classes}
-        if any(find(vid[("v", j)]) not in roots_with_boundary for j in range(1, net.interior + 1)):
+        roots_with_boundary = {_find(parent, vid[("c", ci)]) for ci in classes}
+        if any(
+            _find(parent, vid[("v", j)]) not in roots_with_boundary
+            for j in range(1, net.interior + 1)
+        ):
             continue
         groups: dict[int, list[int]] = {}
         for ci in classes:
-            groups.setdefault(find(vid[("c", ci)]), []).extend(net.shape.parts[ci])
+            groups.setdefault(_find(parent, vid[("c", ci)]), []).extend(net.shape.parts[ci])
         sigma = NCPartition.of(net.n, groups.values())
         totals[sigma] = totals.get(sigma, Fraction(0)) + weight
     return GroveVector.of(net.n, totals)
@@ -333,10 +330,6 @@ def _relabel_endpoint(endpoint, bar_map, int_map):
     return ("v", int_map(i))
 
 
-def _rebuild(net, n, shape, interior, edges, rotation, rsplit):
-    return CactusNetwork(n, shape, interior, tuple(edges), rotation, rsplit)
-
-
 def apply_generator(net: CactusNetwork, i: int, t) -> CactusNetwork:
     """Adjoin a boundary spike (odd i = 2k-1) or boundary edge (even i = 2k).
 
@@ -383,7 +376,7 @@ def _add_spike(net: CactusNetwork, k: int, conductance: Fraction) -> CactusNetwo
         rot[("v", u)] = old_rot + [(m, 1)]
         rot[("b", k)] = [(m, 0)]
         rsplit[k] = 1
-        return _rebuild(net, n, net.shape, u, edges, rot, rsplit)
+        return CactusNetwork(n, net.shape, u, edges, rot, rsplit)
 
     # glued class: the pinch stays on the boundary; the spike and the old
     # ends of position k migrate to the cyclically previous class member
@@ -409,7 +402,7 @@ def _add_spike(net: CactusNetwork, k: int, conductance: Fraction) -> CactusNetwo
     new_parts.append([x for x in part if x != k])
     new_parts.append([k])
     shape = NCPartition.of(n, new_parts)
-    return _rebuild(net, n, shape, net.interior, edges, rot, rsplit)
+    return CactusNetwork(n, shape, net.interior, edges, rot, rsplit)
 
 
 def _add_boundary_edge(net: CactusNetwork, k: int, weight: Fraction) -> CactusNetwork:
@@ -422,7 +415,7 @@ def _add_boundary_edge(net: CactusNetwork, k: int, weight: Fraction) -> CactusNe
     rot[("b", k)] = [(m, 0)] + rot[("b", k)]
     rsplit[k] = rsplit[k] + 1
     rot[("b", kp)] = rot[("b", kp)] + [(m, 1)]
-    return _rebuild(net, n, net.shape, net.interior, edges, rot, rsplit)
+    return CactusNetwork(n, net.shape, net.interior, edges, rot, rsplit)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +499,7 @@ def _star_to_triangle(net: CactusNetwork, j: int) -> CactusNetwork:
         (kind, (int_map[i] if kind == "v" else i)): v
         for (kind, i), v in rot.items()
     }
-    return _rebuild(net, net.n, net.shape, net.interior - 1, edges, rot, rsplit)
+    return CactusNetwork(net.n, net.shape, net.interior - 1, edges, rot, rsplit)
 
 
 def _triangle_to_star(net: CactusNetwork, triple) -> CactusNetwork:
@@ -572,7 +565,7 @@ def _triangle_to_star(net: CactusNetwork, triple) -> CactusNetwork:
         else:
             rsplit[b] = net.rsplit[b] - removed
     rot[center] = [(spoke_of[c], 1) for c in _triangle_center_order(net, triple, corners)]
-    return _rebuild(net, net.n, net.shape, j, edges, rot, rsplit)
+    return CactusNetwork(net.n, net.shape, j, edges, rot, rsplit)
 
 
 def _triangle_center_order(net, triple, corners):
@@ -617,7 +610,7 @@ def _drop_edges(net: CactusNetwork, dead: set) -> CactusNetwork:
         if vtx[0] == "b":
             head = dart_list[: net.rsplit[vtx[1]]]
             rsplit[vtx[1]] = sum(1 for idx, _ in head if idx in edge_map)
-    return _rebuild(net, net.n, net.shape, net.interior, edges, rot, rsplit)
+    return CactusNetwork(net.n, net.shape, net.interior, edges, rot, rsplit)
 
 
 def _drop_interior(net: CactusNetwork, dead_vertex: int) -> CactusNetwork:
@@ -637,14 +630,14 @@ def _drop_interior(net: CactusNetwork, dead_vertex: int) -> CactusNetwork:
         if (kind, i) == ("v", dead_vertex):
             continue
         rot[(kind, int_map(i) if kind == "v" else i)] = v
-    return _rebuild(net, net.n, net.shape, net.interior - 1, edges, rot, net.rsplit)
+    return CactusNetwork(net.n, net.shape, net.interior - 1, edges, rot, net.rsplit)
 
 
 def _find_empty_bigon(net: CactusNetwork):
     """A pair of parallel edges bounding a face of length two, if any."""
     view = net.view()
     for disk in view.disks:
-        faces = embedding.disk_faces(disk, net, view)
+        faces = embedding.disk_faces(disk, net)
         for orbit in faces.faces[1:]:
             if len(orbit) == 2 and all(d[0] == "e" for d in orbit):
                 (_, i1, _), (_, i2, _) = orbit
@@ -708,7 +701,7 @@ def reduce_local(net: CactusNetwork) -> CactusNetwork:
             edges = list(net.edges)
             edges[i1] = merged
             net = _drop_edges(
-                _rebuild(net, net.n, net.shape, net.interior, edges, net.rotation, net.rsplit),
+                CactusNetwork(net.n, net.shape, net.interior, edges, net.rotation, net.rsplit),
                 {i2},
             )
             continue
@@ -731,7 +724,7 @@ def _contract_series(net: CactusNetwork, j: int) -> CactusNetwork:
 
     swap(x, (i1, 1 - end1), (m, 0))
     swap(y, (i2, 1 - end2), (m, 1))
-    net = _rebuild(net, net.n, net.shape, net.interior, edges, rot, net.rsplit)
+    net = CactusNetwork(net.n, net.shape, net.interior, edges, rot, net.rsplit)
     return _drop_interior(_drop_edges(net, {i1, i2}), j)
 
 
@@ -769,7 +762,7 @@ def contract_delete(net: CactusNetwork, edge_index: int, mode: str) -> CactusNet
             shape = NCPartition.of(net.n, parts)
         except ValueError as exc:
             raise NetworkError(f"contraction would cross the shape: {exc}") from exc
-        net2 = _rebuild(net, net.n, shape, net.interior, net.edges, rot, rsplit)
+        net2 = CactusNetwork(net.n, shape, net.interior, net.edges, rot, rsplit)
         return _drop_edges(net2, {edge_index})
 
     # v is interior: splice its rotation into u at the contracted slot
@@ -789,7 +782,7 @@ def contract_delete(net: CactusNetwork, edge_index: int, mode: str) -> CactusNet
         )
         for ee in net.edges
     ]
-    net2 = _rebuild(net, net.n, net.shape, net.interior, edges, rot, rsplit)
+    net2 = CactusNetwork(net.n, net.shape, net.interior, edges, rot, rsplit)
     return _drop_interior(_drop_edges(net2, {edge_index}), jv)
 
 
@@ -837,7 +830,7 @@ def _insert_isolated(net: CactusNetwork, k: int) -> CactusNetwork:
         rsplit[bar_map(b)] = s
     parts = [[bar_map(x) for x in part] for part in net.shape.parts] + [[k]]
     shape = NCPartition.of(net.n + 1, parts)
-    return _rebuild(net, net.n + 1, shape, net.interior, edges, rot, rsplit)
+    return CactusNetwork(net.n + 1, shape, net.interior, edges, rot, rsplit)
 
 
 def _insert_glue(net: CactusNetwork, k: int) -> CactusNetwork:
@@ -897,7 +890,7 @@ def _insert_glue(net: CactusNetwork, k: int) -> CactusNetwork:
         else:
             parts.append([bar_map(x) for x in part])
     shape = NCPartition.of(n_new, parts)
-    return _rebuild(net, n_new, shape, net.interior, edges, rot, rsplit)
+    return CactusNetwork(n_new, shape, net.interior, edges, rot, rsplit)
 
 
 # ---------------------------------------------------------------------------

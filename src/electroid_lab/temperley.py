@@ -20,6 +20,7 @@ from functools import lru_cache
 from . import embedding
 from .combinat import (
     NCPartition,
+    _find,
     bar_slot,
     catalan_subset,
     cyclic_rank,
@@ -56,15 +57,27 @@ def is_concordant(I, sigma: NCPartition) -> bool:
 
 @lru_cache(maxsize=None)
 def _concordance_tables(n: int):
-    """For each (n-1)-subset the concordant partitions, and the reverse map."""
-    sigmas = enumerate_nc(n)
-    by_subset: dict = {}
+    """For each (n-1)-subset the concordant partitions, and the reverse map.
+
+    The complement of a subset concordant with sigma takes one bar slot from
+    each part of sigma and one tilde slot from each part of its dual, so the
+    subsets concordant with sigma are a product over those n + 1 parts.
+    """
+    slots = range(1, 2 * n + 1)
+    by_subset: dict = {I: [] for I in itertools.combinations(slots, n - 1)}
     by_sigma: dict = {}
-    for I in itertools.combinations(range(1, 2 * n + 1), n - 1):
-        by_subset[I] = tuple(s for s in sigmas if is_concordant(I, s))
-    for s in sigmas:
-        by_sigma[s] = tuple(I for I, ss in by_subset.items() if s in ss)
-    return by_subset, by_sigma
+    for s in enumerate_nc(n):
+        choices = [[bar_slot(i) for i in part] for part in s.parts]
+        choices += [[tilde_slot(i) for i in part] for part in dual(s).parts]
+        by_sigma[s] = tuple(
+            sorted(
+                tuple(x for x in slots if x not in complement)
+                for complement in map(set, itertools.product(*choices))
+            )
+        )
+        for I in by_sigma[s]:
+            by_subset[I].append(s)
+    return {I: tuple(ss) for I, ss in by_subset.items()}, by_sigma
 
 
 def concordant_partitions(I, n: int):
@@ -104,7 +117,7 @@ def temperley_graph(net: CactusNetwork) -> TemperleyGraph:
     view = net.view()
     n = net.n
     dfaces = {
-        disk.index: embedding.disk_faces(disk, net, view) for disk in view.disks
+        disk.index: embedding.disk_faces(disk, net) for disk in view.disks
     }
 
     color: dict = {}
@@ -271,35 +284,20 @@ def grove_of_matching(T: TemperleyGraph, matching):
         else:
             forward.append(idx)
     # forest checks
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = {v: v for v in net.quotient_vertices()}
     for idx in forward:
         e = net.edges[idx]
-        a, b = find(net.quotient_endpoint(e.u)), find(net.quotient_endpoint(e.v))
+        a = _find(parent, net.quotient_endpoint(e.u))
+        b = _find(parent, net.quotient_endpoint(e.v))
         if a == b:
             raise GroveBijectionError("grove side contains a cycle")
         parent[a] = b
-    dparent: dict = {}
-
-    def dfind(x):
-        dparent.setdefault(x, x)
-        while dparent[x] != x:
-            dparent[x] = dparent[dparent[x]]
-            x = dparent[x]
-        return x
-
+    dparent = {f: f for faces in T.faces_of_edge.values() for f in faces}
     for idx in dual_pairs:
         faces = T.faces_of_edge[idx]
         if len(faces) == 1:
             raise GroveBijectionError("dual side uses a loop")
-        a, b = dfind(faces[0]), dfind(faces[1])
+        a, b = _find(dparent, faces[0]), _find(dparent, faces[1])
         if a == b:
             raise GroveBijectionError("dual side contains a cycle")
         dparent[a] = b
@@ -315,22 +313,15 @@ def _partition_of_forest(net: CactusNetwork, edge_ids) -> NCPartition:
     for j in range(1, net.interior + 1):
         labels[("v", j)] = len(labels)
     uf = list(range(len(labels)))
-
-    def ufind(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
     for idx in edge_ids:
         e = net.edges[idx]
-        a = ufind(labels[net.quotient_endpoint(e.u)])
-        b = ufind(labels[net.quotient_endpoint(e.v)])
+        a = _find(uf, labels[net.quotient_endpoint(e.u)])
+        b = _find(uf, labels[net.quotient_endpoint(e.v)])
         if a != b:
             uf[a] = b
     groups: dict = {}
     for ci, part in enumerate(net.shape.parts):
-        groups.setdefault(ufind(labels[("c", ci)]), []).extend(part)
+        groups.setdefault(_find(uf, labels[("c", ci)]), []).extend(part)
     return NCPartition.of(net.n, groups.values())
 
 
@@ -376,14 +367,13 @@ class PointClass:
 def classify_point(v) -> PointClass:
     """Membership of a coordinate vector in the concordance slice."""
     if isinstance(v, GroveVector):
-        nonneg = v.is_nonnegative()
-        ok = nonneg and quadratic_check(v, 1)
+        # plucker_check of the embedding is quadratic_check(v, 1): the same
+        # one-swap exchange relations over the same concordance sums
         delta = embed(v)
-        in_H = True
         in_X = plucker_check(delta)
-        return PointClass(in_H, in_X, in_X and delta.is_nonnegative(), ok)
+        return PointClass(True, in_X, in_X and delta.is_nonnegative(), v.is_nonnegative() and in_X)
     try:
-        L = recover_groves(v)
+        recover_groves(v)
     except NotInImageError:
         return PointClass(False, False, False)
     in_X = plucker_check(v)

@@ -133,11 +133,13 @@ def test_criterion_03_poset_duality():
         for tau in taus
     }
     necks = {tau: necklace(electrical_perm(tau)) for tau in taus}
+    necks_g = {tau: necklace(gs[tau]) for tau in taus}
     for t1, t2 in itertools.product(taus, repeat=2):
         closure = t1 in below[t2]
         by_rank = all(x <= y for x, y in zip(ranks[t2], ranks[t1]))
         by_neck = necklace_leq(necks[t2], necks[t1], N)
-        assert closure == by_rank == by_neck, (t1, t2)
+        by_neck_g = necklace_leq(necks_g[t2], necks_g[t1], N)
+        assert closure == by_rank == by_neck == by_neck_g, (t1, t2)
     report("criterion 3: poset duality on all 105^2 ordered pairs + grading")
 
 
@@ -260,7 +262,10 @@ def test_criterion_09_quadratic_relations():
         coords[sigmas[rng.randrange(len(sigmas))]] += Fraction(
             rng.randrange(1, 5), rng.randrange(1, 5)
         )
-        if not classify_point(GroveVector.of(3, coords)).is_grove_point:
+        L = GroveVector.of(3, coords)
+        is_grove_point = classify_point(L).is_grove_point
+        assert is_grove_point == (L.is_nonnegative() and quadratic_check(L, 1))
+        if not is_grove_point:
             flagged += 1
     assert flagged >= 0.95 * total, f"only {flagged}/{total} flagged"
     report(f"criterion 9: quadratic relations hold; {flagged}/{total} perturbations flagged")

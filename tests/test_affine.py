@@ -27,6 +27,7 @@ from electroid_lab.combinat import (
     crossing_number,
     enumerate_matchings,
     enumerate_nc,
+    in_open_arc,
     is_catalan_subset,
     matching_of_partition,
 )
@@ -188,6 +189,40 @@ def test_uncross_covers_noncrossing_empty():
             assert uncross_covers(matching_of_partition(sigma)) == []
 
 
+def arc_criterion_covers(tau):
+    """Covers by the arc criterion: for chords (a, c), (b, d) in cyclic order
+    (a, b, c, d), the resolution {(a,d), (b,c)} is a cover iff no other chord
+    joins the open arc (a, b) to the open arc (c, d); likewise {(a,b), (c,d)}
+    with the arcs (b, c) and (d, a)."""
+    N = 2 * tau.n
+    out = set()
+    for (a, c), (b, d) in itertools.combinations(tau.pairs, 2):
+        if in_open_arc(b, a, c, N) == in_open_arc(d, a, c, N):
+            continue
+        others = [p for p in tau.pairs if p not in ((a, c), (b, d))]
+        if not in_open_arc(b, a, c, N):
+            b, d = d, b
+
+        def joins(lo1, hi1, lo2, hi2):
+            return any(
+                (in_open_arc(x, lo1, hi1, N) and in_open_arc(y, lo2, hi2, N))
+                or (in_open_arc(y, lo1, hi1, N) and in_open_arc(x, lo2, hi2, N))
+                for x, y in others
+            )
+
+        if not joins(a, b, c, d):
+            out.add(Matching.of(tau.n, others + [(a, d), (b, c)]))
+        if not joins(b, c, d, a):
+            out.add(Matching.of(tau.n, others + [(a, b), (c, d)]))
+    return sorted(out, key=str)
+
+
+def test_uncross_covers_match_arc_criterion():
+    for n in range(1, 6):
+        for tau in enumerate_matchings(n):
+            assert uncross_covers(tau) == arc_criterion_covers(tau), tau
+
+
 def test_covers_drop_crossing_by_one_and_bruhat_cover():
     for n in (3, 4):
         for tau in enumerate_matchings(n):
@@ -227,6 +262,9 @@ def test_duality_three_ways():
         assert lhs == bruhat_leq(g2, g1)
         assert lhs == bruhat_leq(f2, f1)
         assert lhs == necklace_leq(necklace(f2), necklace(f1), 6)
+        # rank order and necklace order agree on both types
+        assert bruhat_leq(g1, g2) == necklace_leq(necklace(g1), necklace(g2), 6)
+        assert bruhat_leq(f1, f2) == necklace_leq(necklace(f1), necklace(f2), 6)
 
 
 def test_dual_necklace_sizes():

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from electroid_lab.cli import main
 from electroid_lab.grassmann import plucker_from_json, plucker_to_json
-from electroid_lab.network import from_json, grove_vector, to_json, y_network
+from electroid_lab.network import example_five, from_json, grove_vector, to_json, y_network
 from electroid_lab.temperley import embed, grove_from_json, grove_to_json
 
 
@@ -96,6 +97,15 @@ def test_perm_and_necklace(capsys):
     assert json.loads(out)[0] == "1 4|2|3"
 
 
+def test_perm_of_point(capsys, tmp_path, y3_file):
+    point = tmp_path / "point.json"
+    code, _ = run(capsys, "net", "embed", y3_file, "--output", str(point))
+    assert code == 0
+    code, out = run(capsys, "perm", "of-point", "--file", str(point))
+    # the medial pairing of the three-spoke network is (1,4)(2,5)(3,6)
+    assert code == 0 and out.strip() == "[3,4,5,6,7,8]"
+
+
 def test_electroid_commands(capsys):
     code, out = run(capsys, "electroid", "of-matching", "--matching", "(1,4)(2,5)(3,6)")
     assert code == 0 and len(json.loads(out)) == 5
@@ -138,3 +148,26 @@ def test_verify_all_deterministic_bytes(capsys):
     code2, out2 = run(capsys, "verify", "all", "--n", "3", "--trials", "20", "--seed", "9")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "verify_all_n3_t20_s9": ["verify", "all", "--n", "3", "--trials", "20", "--seed", "9"],
+    "poset_hasse_n4": ["poset", "hasse", "--n", "4"],
+    "poset_covers_top3": ["poset", "covers", "--matching", "(1,4)(2,5)(3,6)"],
+    "electroid_of_matching_n4": ["electroid", "of-matching", "--matching", "(1,6)(2,4)(3,8)(5,7)"],
+    "electroid_oh_n4": ["electroid", "oh", "--matching", "(1,6)(2,4)(3,8)(5,7)"],
+    "necklace_partitions": ["necklace", "partitions", "--matching", "(1,4)(2,6)(3,7)(5,8)"],
+    "net_embed_example_five": ["net", "embed", "{example_five}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, tmp_path, name):
+    """Stdout is byte-identical to the recorded output in tests/golden."""
+    path = tmp_path / "example_five.json"
+    path.write_text(to_json(example_five()))
+    argv = [arg.format(example_five=path) for arg in GOLDEN_CASES[name]]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()

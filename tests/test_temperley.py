@@ -27,6 +27,7 @@ from electroid_lab.temperley import (
     classify_point,
     concordant_partitions,
     concordant_subsets,
+    _concordance_tables,
     embed,
     grove_of_matching,
     is_concordant,
@@ -53,6 +54,19 @@ def test_concordance_sets_nonempty():
             assert concordant_partitions(I, n)
         for sigma in enumerate_nc(n):
             assert concordant_subsets(sigma)
+
+
+def test_concordance_tables_match_definition_scan():
+    for n in range(1, 7):
+        sigmas = enumerate_nc(n)
+        by_subset = {
+            I: tuple(s for s in sigmas if is_concordant(I, s))
+            for I in itertools.combinations(range(1, 2 * n + 1), n - 1)
+        }
+        by_sigma = {s: tuple(I for I, ss in by_subset.items() if s in ss) for s in sigmas}
+        tables = _concordance_tables(n)
+        assert list(tables[0].items()) == list(by_subset.items())
+        assert list(tables[1].items()) == list(by_sigma.items())
 
 
 def test_unique_concordance_counts():
