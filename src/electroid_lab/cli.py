@@ -426,7 +426,7 @@ def suite_quadratic(n, rng, trials, s: Suite):
     for m in range(2, n + 1):
         for _ in range(max(2, trials // 20)):
             net, _ = corpus.random_network(m, rng, critical=False)
-            if not temperley.quadratic_check(network.grove_vector(net), 1):
+            if not temperley.quadratic_check(network.grove_vector(net)):
                 bad = network.to_json(net)
                 break
     s.check("quadratic: exchange relations on corpus groves", bad is None, bad or "")

@@ -155,9 +155,6 @@ class CatalanSubset:
             raise ValueError(f"not a Catalan subset w.r.t. {base}: {sorted(elements)}")
         return c
 
-    def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements, key=lambda x: cyclic_rank(x, self.base, 2 * self.n)))
-
     def __str__(self):
         return ",".join(str(x) for x in sorted(self.elements))
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .affine import BoundedAffinePermutation, necklace, perm_of_necklace
 from .combinat import cyclic_rank, dominance_leq
+from .linalg import det
 from .vectors import PluckerVector, subset_key
 
 
@@ -344,38 +345,30 @@ def u_matrix(m: int, i: int, a) -> list:
 
 
 # ---------------------------------------------------------------------------
-# quadratic relations
+# Grassmannian membership
 
 
 def plucker_check(delta: PluckerVector) -> bool:
-    """All one-index-swap exchange relations hold exactly."""
-    k = delta.k
-    if k in (0,):
-        return True
+    """Membership in Gr(k, m): every coordinate is a minor of one representative matrix.
+
+    With I0 the first nonzero coordinate, row r of A holds the coordinates of
+    I0 with its r-th index replaced by j, signed into sorted order and divided
+    by the coordinate at I0, so A is the identity on the columns of I0.
+    """
     lookup = delta._lookup
-    subsets = [key for key, _ in delta.coords]
-    for I in subsets:
-        for J in subsets:
-            lhs = lookup[I] * lookup[J]
-            rhs = Fraction(0)
-            j1 = J[0]
-            for r in range(k):
-                ir = I[r]
-                if ir in J and ir != j1:
-                    continue
-                if j1 in I and j1 != ir:
-                    continue
-                I2 = list(I)
-                I2[r] = j1
-                J2 = list(J)
-                J2[0] = ir
-                s = _sort_sign(I2) * _sort_sign(J2)
-                if s == 0:
-                    continue
-                rhs += s * lookup[tuple(sorted(I2))] * lookup[tuple(sorted(J2))]
-            if lhs != rhs:
-                return False
-    return True
+    I0 = next((key for key, v in delta.coords if v != 0), None)
+    if delta.k == 0 or I0 is None:
+        return True
+    d0 = lookup[I0]
+    A = []
+    for r in range(delta.k):
+        row = []
+        for j in range(1, delta.m + 1):
+            I = I0[:r] + (j,) + I0[r + 1 :]
+            s = _sort_sign(I)
+            row.append(s * lookup[tuple(sorted(I))] / d0 if s else Fraction(0))
+        A.append(row)
+    return all(v == d0 * det([[row[j - 1] for j in J] for row in A]) for J, v in delta.coords)
 
 
 def _sort_sign(seq) -> int:

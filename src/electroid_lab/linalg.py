@@ -28,7 +28,7 @@ def mat_solve(A, B):
 
 
 def det(A):
-    """Exact determinant by fraction-free-ish elimination."""
+    """Exact determinant by Gaussian elimination over Fraction."""
     m = len(A)
     M = [list(map(Fraction, row)) for row in A]
     sign = 1

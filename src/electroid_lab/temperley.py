@@ -28,12 +28,7 @@ from .combinat import (
     enumerate_nc,
     tilde_slot,
 )
-from .grassmann import (
-    BEdge,
-    PlanarBipartiteGraph,
-    _sort_sign,
-    plucker_check,
-)
+from .grassmann import BEdge, PlanarBipartiteGraph, plucker_check
 from .network import CactusNetwork
 from .vectors import GroveVector, PluckerVector, subset_key
 
@@ -336,6 +331,8 @@ class NotInImageError(ValueError):
 def recover_groves(delta: PluckerVector) -> GroveVector:
     """Invert the concordance sum through its triangular Catalan block."""
     n = delta.m // 2
+    if (delta.m, delta.k) != (2 * n, n - 1):
+        raise NotInImageError(f"Gr({delta.k},{delta.m}) is not of the form Gr(n-1,2n)")
     sigmas = enumerate_nc(n)
     keyed = []
     for s in sigmas:
@@ -367,8 +364,7 @@ class PointClass:
 def classify_point(v) -> PointClass:
     """Membership of a coordinate vector in the concordance slice."""
     if isinstance(v, GroveVector):
-        # plucker_check of the embedding is quadratic_check(v, 1): the same
-        # one-swap exchange relations over the same concordance sums
+        # quadratic_check(v), spelled out to reuse the embedding for the sign
         delta = embed(v)
         in_X = plucker_check(delta)
         return PointClass(True, in_X, in_X and delta.is_nonnegative(), v.is_nonnegative() and in_X)
@@ -380,40 +376,9 @@ def classify_point(v) -> PointClass:
     return PointClass(True, in_X, in_X and v.is_nonnegative())
 
 
-def quadratic_check(L: GroveVector, k: int = 1) -> bool:
-    """Exchange relations of the concordance sums, swapping k indices."""
-    n = L.n
-    if n == 1:
-        return True
-    if not 1 <= k < max(n - 1, 2):
-        raise ValueError("swap width out of range")
-    by_subset, _ = _concordance_tables(n)
-    S = {
-        I: sum((L[s] for s in ss), Fraction(0)) for I, ss in by_subset.items()
-    }
-    size = n - 1
-    subsets = list(S)
-    for I in subsets:
-        for J in subsets:
-            lhs = S[I] * S[J]
-            rhs = Fraction(0)
-            head = J[:k]
-            tail = J[k:]
-            for positions in itertools.combinations(range(size), k):
-                I2 = list(I)
-                moved = [I[p] for p in positions]
-                for p, newval in zip(positions, head):
-                    I2[p] = newval
-                J2 = list(moved) + list(tail)
-                sgn = _sort_sign(I2) * _sort_sign(J2)
-                if sgn == 0:
-                    continue
-                rhs += sgn * S.get(tuple(sorted(I2)), Fraction(0)) * S.get(
-                    tuple(sorted(J2)), Fraction(0)
-                )
-            if lhs != rhs:
-                return False
-    return True
+def quadratic_check(L: GroveVector) -> bool:
+    """The concordance sums of a grove vector are a point of Gr(n-1, 2n)."""
+    return plucker_check(embed(L))
 
 
 def unique_concordance_count(n: int) -> int:

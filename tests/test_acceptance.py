@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from exchange_relations import one_swap_relations
+
 from electroid_lab.affine import (
     affine_of_matching,
     electrical_perm,
@@ -252,7 +254,7 @@ def test_criterion_08_response_matrices():
 def test_criterion_09_quadratic_relations():
     rng = random.Random(9)
     for net, _ in corpus_networks(rng, sizes=(2, 3, 4), per_size=5, critical=False):
-        assert quadratic_check(grove_vector(net), 1)
+        assert quadratic_check(grove_vector(net))
     flagged = 0
     total = 40
     for _ in range(total):
@@ -264,7 +266,7 @@ def test_criterion_09_quadratic_relations():
         )
         L = GroveVector.of(3, coords)
         is_grove_point = classify_point(L).is_grove_point
-        assert is_grove_point == (L.is_nonnegative() and quadratic_check(L, 1))
+        assert is_grove_point == (L.is_nonnegative() and one_swap_relations(embed(L)))
         if not is_grove_point:
             flagged += 1
     assert flagged >= 0.95 * total, f"only {flagged}/{total} flagged"

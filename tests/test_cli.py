@@ -7,6 +7,7 @@ from electroid_lab.cli import main
 from electroid_lab.grassmann import plucker_from_json, plucker_to_json
 from electroid_lab.network import example_five, from_json, grove_vector, to_json, y_network
 from electroid_lab.temperley import embed, grove_from_json, grove_to_json
+from electroid_lab.vectors import PluckerVector
 
 
 @pytest.fixture
@@ -57,6 +58,15 @@ def test_net_realize_roundtrip(capsys, tmp_path, y3_file):
     got = from_json(out)
     expected = plucker_from_json(point.read_text())
     assert embed(grove_vector(got)).projectively_equal(expected)
+
+
+def test_net_realize_refuses_a_point_outside_gr_n_minus_1_2n(capsys, tmp_path):
+    point = tmp_path / "gr36.json"
+    point.write_text(plucker_to_json(PluckerVector.of(6, 3, {(1, 2, 3): 1})))
+    code = main(["net", "realize", str(point)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: point is not a nonnegative member of the slice\n"
 
 
 def test_poset_commands(capsys):
@@ -159,6 +169,10 @@ GOLDEN_CASES = {
     "electroid_oh_n4": ["electroid", "oh", "--matching", "(1,6)(2,4)(3,8)(5,7)"],
     "necklace_partitions": ["necklace", "partitions", "--matching", "(1,4)(2,6)(3,7)(5,8)"],
     "net_embed_example_five": ["net", "embed", "{example_five}"],
+    "verify_quadratic_n4_t20_s9": ["verify", "quadratic", "--n", "4", "--trials", "20", "--seed", "9"],
+    "verify_realizability_n4_t20_s9": [
+        "verify", "realizability", "--n", "4", "--trials", "20", "--seed", "9"
+    ],
 }
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exchange_relations import one_swap_relations
 
 from electroid_lab.affine import (
     affine_of_matching,
@@ -11,6 +12,7 @@ from electroid_lab.affine import (
     shift_identity,
 )
 from electroid_lab.combinat import Matching, NCPartition, enumerate_nc, matching_of_partition
+from electroid_lab.corpus import random_network
 from electroid_lab.grassmann import (
     BipartiteError,
     PlanarBipartiteGraph,
@@ -33,7 +35,7 @@ from electroid_lab.grassmann import (
 from electroid_lab.medial import medial_pairing
 from electroid_lab.network import apply_generator, example_five, grove_vector, y_network
 from electroid_lab.temperley import concordant_subsets, embed, temperley_graph
-from electroid_lab.vectors import PluckerVector
+from electroid_lab.vectors import GroveVector, PluckerVector
 
 P = NCPartition.parse
 
@@ -63,6 +65,48 @@ def test_plucker_check_perturbed():
 def test_plucker_check_measurements():
     delta = boundary_measurements(temperley_graph(example_five()).graph)
     assert plucker_check(delta)
+
+
+def test_plucker_check_rejects_point_the_one_swap_loop_accepts():
+    # every support subset contains 1, so each one-swap relation reads 0 = 0;
+    # the contraction at 1 has only Delta_23 = Delta_45 = 1, which breaks
+    # Delta_23 Delta_45 - Delta_24 Delta_35 + Delta_25 Delta_34 = 0 in Gr(2, 5)
+    delta = PluckerVector.of(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1})
+    assert one_swap_relations(delta)
+    assert not plucker_check(delta)
+
+
+def test_plucker_check_trivial_cases():
+    assert plucker_check(PluckerVector.of(4, 0, {(): 5}))
+    assert plucker_check(PluckerVector.of(5, 2, {}))
+    assert plucker_check(PluckerVector.of(5, 2, {(2, 4): -3}))
+    assert not plucker_check(PluckerVector.of(4, 2, {(1, 2): 1, (3, 4): 1}))
+
+
+def slice_points(rng, n, count):
+    """Seeded corpus, perturbed and indicator points of the slice at n."""
+    for _ in range(count):
+        net, _ = random_network(n, rng, shaped=rng.random() < 0.4, critical=False)
+        L = grove_vector(net)
+        yield embed(L)
+        coords = L.as_dict()
+        sigma = rng.choice(list(coords))
+        coords[sigma] += Fraction(rng.randrange(1, 5), rng.randrange(1, 5))
+        yield embed(GroveVector.of(n, coords))
+    sigmas = enumerate_nc(n)
+    for sigma in rng.sample(sigmas, min(count, len(sigmas))):
+        yield embed(GroveVector.of(n, {sigma: 1}))
+
+
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 6), (4, 4), (5, 1)])
+def test_plucker_check_matches_one_swap_oracle(n, count):
+    rng = random.Random(300 + n)
+    verdicts = [
+        (plucker_check(delta), one_swap_relations(delta)) for delta in slice_points(rng, n, count)
+    ]
+    assert all(new == old for new, old in verdicts)
+    # every nonzero vector is a point of Gr(1, 4), so perturbations show only above n = 2
+    assert {new for new, _ in verdicts} == ({True} if n == 2 else {True, False})
 
 
 def test_chi_rotation():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exchange_relations import k_swap_relations
 
 from electroid_lab.affine import electrical_perm
 from electroid_lab.combinat import (
@@ -24,6 +25,7 @@ from electroid_lab.network import (
 )
 from electroid_lab.temperley import (
     NotInImageError,
+    PointClass,
     classify_point,
     concordant_partitions,
     concordant_subsets,
@@ -273,21 +275,28 @@ def test_classify_point():
     assert not classify_point(bad).in_H
 
 
+def test_classify_point_of_the_wrong_grassmannian_is_not_in_h():
+    # Gr(2, 8) has the m of n = 4 but not its k = 3; Gr(3, 7) has an odd m
+    for delta in (PluckerVector.of(8, 2, {(1, 2): 1}), PluckerVector.of(7, 3, {(1, 2, 3): 1})):
+        with pytest.raises(NotInImageError):
+            recover_groves(delta)
+        assert classify_point(delta) == PointClass(False, False, False)
+
+
 def test_classify_negative_entry():
     L = GroveVector.of(2, {P("1|2"): 1, P("1 2"): -1})
     assert classify_point(L).is_grove_point is False
 
 
 def test_quadratic_check():
-    assert quadratic_check(grove_vector(y_network(1, 2, 3)), 1)
-    assert quadratic_check(GroveVector.of(3, {P("1 2 3"): 1}), 1)
-    for k in (1, 2):
-        assert quadratic_check(grove_vector(example_five()), k)
+    assert quadratic_check(grove_vector(y_network(1, 2, 3)))
+    assert quadratic_check(GroveVector.of(3, {P("1 2 3"): 1}))
+    assert quadratic_check(grove_vector(example_five()))
     # perturbed vector: generic failure
     L = grove_vector(y_network(1, 1, 1)).as_dict()
     sigma = P("1 2|3")
     L[sigma] += 1
-    assert not quadratic_check(GroveVector.of(3, L), 1)
+    assert not quadratic_check(GroveVector.of(3, L))
 
 
 def test_concordance_matrix_export():
@@ -314,5 +323,7 @@ def test_grove_of_matching_hollow_is_empty_forest():
         assert sigma == net.shape
 
 
-def test_quadratic_check_k3():
-    assert quadratic_check(grove_vector(example_five()), 3)
+def test_k_swap_oracle_holds_on_example_five():
+    L = grove_vector(example_five())
+    for k in (1, 2, 3):
+        assert k_swap_relations(L, k)
