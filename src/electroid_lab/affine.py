@@ -127,16 +127,21 @@ def length(f: BoundedAffinePermutation) -> int:
     return total
 
 
-def rank_entry(f: BoundedAffinePermutation, i: int, j: int) -> int:
-    """Count of a <= i with f(a) >= j (finite since f is bounded)."""
-    # a < j - N forces f(a) <= a + N < j, and a >= j forces f(a) >= a >= j
-    lo = j - f.period
-    if i < lo:
-        return 0
-    full = max(0, i - j + 1)
-    top = min(i, j - 1)
-    partial = sum(1 for a in range(lo, top + 1) if f(a) >= j)
-    return full + partial
+def rank_band(f: BoundedAffinePermutation) -> tuple[int, ...]:
+    """Rank entries r(i, j) = #{a <= i : f(a) >= j} for i in [N], i - N <= j <= i + N + 1.
+
+    Row i walks j down from i + N + 1, where r = 0 since f(a) <= a + N, and
+    adds one at each j with f^{-1}(j) <= i: O(N^2) for the whole band.
+    """
+    N = f.period
+    back = [0] * N  # f^{-1}(j) = j + back[(j - 1) % N]
+    for a, fa in enumerate(f.window, start=1):
+        back[(fa - 1) % N] = a - fa
+    band = []
+    for i in range(1, N + 1):
+        steps = (j + back[(j - 1) % N] <= i for j in range(i + N, i - N - 1, -1))
+        band.extend(reversed(list(itertools.accumulate(steps, initial=0))))
+    return tuple(band)
 
 
 def necklace(f: BoundedAffinePermutation) -> list[frozenset[int]]:
@@ -200,12 +205,7 @@ def bruhat_leq(f: BoundedAffinePermutation, g: BoundedAffinePermutation) -> bool
     """Order by componentwise comparison of rank matrices on one period band."""
     if f.period != g.period or f.k != g.k:
         raise ValueError("both permutations must have the same type")
-    N = f.period
-    return all(
-        rank_entry(f, i, j) <= rank_entry(g, i, j)
-        for i in range(1, N + 1)
-        for j in range(i - N, i + N + 2)
-    )
+    return all(x <= y for x, y in zip(rank_band(f), rank_band(g)))
 
 
 def matching_leq(tau1: Matching, tau2: Matching) -> bool:
@@ -249,10 +249,17 @@ def necklace_to_json(neck) -> str:
     )
 
 
+HASSE_MAX_N = 6  # (2n-1)!! matchings: 10,395 at n = 6, 135,135 at n = 7
+
+
 def hasse_to_dot(n: int) -> str:
-    """Graphviz form of the uncrossing order on matchings, edges are covers."""
+    """Graphviz form of the uncrossing order on matchings, edges are covers; n <= HASSE_MAX_N."""
     from .combinat import enumerate_matchings
 
+    if n > HASSE_MAX_N:
+        raise ValueError(
+            f"the Hasse diagram lists all (2n-1)!! matchings; n is limited to {HASSE_MAX_N}, got {n}"
+        )
     taus = enumerate_matchings(n)
     names = {tau: f"m{i}" for i, tau in enumerate(taus)}
     lines = ["digraph hasse {", "  rankdir=BT;"]

@@ -62,6 +62,15 @@ def _parse_partition(text, n=None):
         raise CliError(f"malformed partition {text!r}: {exc}") from exc
 
 
+def _size(args):
+    """--n, or 3 when it is absent."""
+    if args.n is None:
+        return 3
+    if args.n < 1:
+        raise CliError(f"--n must be at least 1, got {args.n}")
+    return args.n
+
+
 def _load_network(path):
     try:
         return network.from_json(_read(path))
@@ -164,7 +173,7 @@ def cmd_poset(args):
         _emit(args, json.dumps(ok) if args.format == "json" else str(ok).lower())
         return 0 if ok else 1
     elif args.action == "hasse":
-        _emit(args, affine.hasse_to_dot(args.n or 3))
+        _emit(args, affine.hasse_to_dot(_size(args)))
     return 0
 
 
@@ -332,15 +341,8 @@ def suite_poset_duality(n, rng, trials, s: Suite):
                 if new:
                     below[tau] |= new
                     changed = True
-    ranks = {}
+    ranks = {tau: affine.rank_band(gs[tau]) for tau in taus}
     N = 2 * m
-    for tau in taus:
-        g = gs[tau]
-        ranks[tau] = tuple(
-            affine.rank_entry(g, i, j)
-            for i in range(1, N + 1)
-            for j in range(i - N, i + N + 2)
-        )
     necks = {tau: affine.necklace(fs[tau]) for tau in taus}
     bad = None
     for t1, t2 in itertools.product(taus, repeat=2):
@@ -481,7 +483,7 @@ SUITES = {
 def cmd_verify(args):
     rng = random.Random(args.seed)
     s = Suite()
-    SUITES[args.suite](args.n or 3, rng, args.trials, s)
+    SUITES[args.suite](_size(args), rng, args.trials, s)
     _emit(args, s.report())
     return 1 if s.failed else 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def cyclic_rank(x: int, a: int, modulus: int) -> int:
@@ -209,15 +210,24 @@ def enumerate_matchings(n: int) -> list[Matching]:
     return [Matching.of(n, pairs) for pairs in rec(tuple(range(1, 2 * n + 1)))]
 
 
-def enumerate_nc(n: int) -> list[NCPartition]:
-    """All non-crossing partitions of 1..n, sorted by canonical string."""
+def enumerate_nc(n: int) -> tuple[NCPartition, ...]:
+    """All non-crossing partitions of 1..n, sorted by canonical string.
+
+    Built once per n; the tuple is shared by every caller.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for pairs in _noncrossing_matchings(tuple(range(1, 2 * n + 1))):
-        out.append(partition_of_matching(Matching.of(n, pairs)))
-    out.sort(key=str)
-    return out
+    return _enumerate_nc(n)
+
+
+# Cached behind a plain function: perfbench's tracer wraps only plain functions.
+@lru_cache(maxsize=None)
+def _enumerate_nc(n: int) -> tuple[NCPartition, ...]:
+    partitions = (
+        partition_of_matching(Matching.of(n, pairs))
+        for pairs in _noncrossing_matchings(tuple(range(1, 2 * n + 1)))
+    )
+    return tuple(sorted(partitions, key=str))
 
 
 def matching_of_partition(sigma: NCPartition) -> Matching:
@@ -316,14 +326,24 @@ def catalan_subset(sigma: NCPartition, a: int) -> CatalanSubset:
     Its complement collects, for every part of sigma and of the dual, the
     slot of the part's maximal label in the rotated order starting at a.
     """
+    if not 1 <= a <= 2 * sigma.n:
+        raise ValueError(f"base slot out of range: {a}")
+    return _catalan_subset(sigma, dual(sigma), a)
+
+
+def catalan_subsets(sigma: NCPartition) -> tuple[CatalanSubset, ...]:
+    """sigma's Catalan subsets at the base slots 1..2n, from one dual."""
+    tilde = dual(sigma)
+    return tuple(_catalan_subset(sigma, tilde, a) for a in range(1, 2 * sigma.n + 1))
+
+
+def _catalan_subset(sigma: NCPartition, tilde: NCPartition, a: int) -> CatalanSubset:
     n = sigma.n
     N = 2 * n
-    if not 1 <= a <= N:
-        raise ValueError(f"base slot out of range: {a}")
     complement = set()
     for part in sigma.parts:
         complement.add(max((bar_slot(i) for i in part), key=lambda s: cyclic_rank(s, a, N)))
-    for part in dual(sigma).parts:
+    for part in tilde.parts:
         complement.add(max((tilde_slot(i) for i in part), key=lambda s: cyclic_rank(s, a, N)))
     elements = frozenset(range(1, N + 1)) - complement
     return CatalanSubset.of(n, a, elements)

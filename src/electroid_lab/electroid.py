@@ -9,13 +9,14 @@ per boundary slot, linked by cut-and-shift moves called swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .affine import electrical_perm, matching_leq, necklace
+from .affine import electrical_perm, necklace, rank_band
 from .combinat import (
     Matching,
     NCPartition,
     bar_slot,
-    catalan_subset,
+    catalan_subsets,
     cyclic_rank,
     dominance_leq,
     dual,
@@ -41,12 +42,33 @@ class Electroid:
         return sorted(self.members, key=str)
 
 
+@lru_cache(maxsize=None)
+def _index(n: int):
+    """(sigma, rank band of f of its separating matching, its Catalan subsets at slots 1..2n).
+
+    One row per partition in enumerate_nc order, built on the first electroid
+    of size n; each partition's dual is computed once here.
+    """
+    return tuple(
+        (
+            sigma,
+            rank_band(electrical_perm(matching_of_partition(sigma))),
+            tuple(c.elements for c in catalan_subsets(sigma)),
+        )
+        for sigma in enumerate_nc(n)
+    )
+
+
 def electroid(tau: Matching) -> Electroid:
-    """Partitions whose separating matching lies below tau."""
+    """Partitions whose separating matching lies below tau.
+
+    That is f_tau <= f_sigma in Bruhat order, compared as rank bands.
+    """
+    band = rank_band(electrical_perm(tau))
     members = frozenset(
         sigma
-        for sigma in enumerate_nc(tau.n)
-        if matching_leq(matching_of_partition(sigma), tau)
+        for sigma, sigma_band, _ in _index(tau.n)
+        if all(x <= y for x, y in zip(band, sigma_band))
     )
     return Electroid(tau.n, members)
 
@@ -257,10 +279,10 @@ def oh_electroid(tau: Matching) -> Electroid:
     neck = catalan_necklace_of_matching(tau)
     members = frozenset(
         sigma
-        for sigma in enumerate_nc(n)
+        for sigma, _, subsets in _index(n)
         if all(
-            dominance_leq(neck[s - 1], catalan_subset(sigma, s).elements, s, 2 * n)
-            for s in range(1, 2 * n + 1)
+            dominance_leq(I, J, s, 2 * n)
+            for s, (I, J) in enumerate(zip(neck, subsets), start=1)
         )
     )
     return Electroid(n, members)

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from affine_oracles import rank_entry
 from exchange_relations import one_swap_relations
 
 from electroid_lab.affine import (
@@ -13,7 +14,6 @@ from electroid_lab.affine import (
     matching_perm,
     necklace,
     necklace_leq,
-    rank_entry,
     uncross_covers,
 )
 from electroid_lab.combinat import (

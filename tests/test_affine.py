@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from affine_oracles import rank_entries, rank_entry
 
 from electroid_lab.affine import (
     BoundedAffinePermutation,
@@ -16,7 +17,7 @@ from electroid_lab.affine import (
     necklace,
     necklace_leq,
     perm_of_necklace,
-    rank_entry,
+    rank_band,
     shift_identity,
     top_matching,
     uncross_covers,
@@ -105,6 +106,17 @@ def test_rank_entry_periodicity():
     for i in range(1, 11):
         for j in range(i - 10, i + 12):
             assert rank_entry(f, i, j) == rank_entry(f, i + 10, j + 10)
+
+
+def test_rank_band_matches_rank_entry_oracle():
+    for n in range(1, 6):
+        for tau in enumerate_matchings(n):
+            for f in affine_of_matching(tau):
+                assert rank_band(f) == rank_entries(f), (tau, f)
+    for N in range(1, 7):
+        for k in range(N + 1):
+            f = shift_identity(k, N)
+            assert rank_band(f) == rank_entries(f), (k, N)
 
 
 def test_necklace_small_example():

@@ -97,6 +97,26 @@ def test_poset_commands(capsys):
     assert "digraph" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all", "--n", "0"], ["verify", "counts", "--n", "-1"], ["poset", "hasse", "--n", "0"]],
+)
+def test_n_below_one_is_malformed_input(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --n must be at least 1, got {argv[-1]}\n"
+
+
+def test_poset_hasse_refuses_n_above_its_limit(capsys):
+    code = main(["poset", "hasse", "--n", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: the Hasse diagram lists all (2n-1)!! matchings; n is limited to 6, got 7\n"
+    )
+
+
 def test_perm_and_necklace(capsys):
     code, out = run(capsys, "perm", "of-matching", "--matching", "(1,7)(2,9)(3,8)(4,10)(5,6)")
     assert "g=[7,9,8,10,6,15,11,13,12,14]" in out
@@ -167,6 +187,15 @@ GOLDEN_CASES = {
     "poset_covers_top3": ["poset", "covers", "--matching", "(1,4)(2,5)(3,6)"],
     "electroid_of_matching_n4": ["electroid", "of-matching", "--matching", "(1,6)(2,4)(3,8)(5,7)"],
     "electroid_oh_n4": ["electroid", "oh", "--matching", "(1,6)(2,4)(3,8)(5,7)"],
+    "electroid_of_matching_n5": ["electroid", "of-matching", "--matching", "(1,7)(2,9)(3,8)(4,10)(5,6)"],
+    "electroid_oh_n5": ["electroid", "oh", "--matching", "(1,7)(2,9)(3,8)(4,10)(5,6)"],
+    "electroid_of_matching_n6": [
+        "electroid", "of-matching", "--matching", "(1,8)(2,5)(3,11)(4,9)(6,12)(7,10)"
+    ],
+    "electroid_oh_n6": ["electroid", "oh", "--matching", "(1,8)(2,5)(3,11)(4,9)(6,12)(7,10)"],
+    "poset_leq_n5": [
+        "poset", "leq", "--lower", "(1,3)(2,9)(4,8)(5,6)(7,10)", "--upper", "(1,7)(2,9)(3,8)(4,10)(5,6)"
+    ],
     "necklace_partitions": ["necklace", "partitions", "--matching", "(1,4)(2,6)(3,7)(5,8)"],
     "net_embed_example_five": ["net", "embed", "{example_five}"],
     "verify_quadratic_n4_t20_s9": ["verify", "quadratic", "--n", "4", "--trials", "20", "--seed", "9"],

@@ -32,6 +32,14 @@ def test_enumerate_counts():
         assert len(enumerate_nc(n)) == catalan_number(n)
 
 
+def test_enumerate_nc_is_one_shared_tuple_in_str_order():
+    for n in range(1, 7):
+        sigmas = enumerate_nc(n)
+        assert isinstance(sigmas, tuple)
+        assert enumerate_nc(n) is sigmas
+        assert list(sigmas) == sorted(sigmas, key=str)
+
+
 def test_enumerate_rejects_zero():
     with pytest.raises(ValueError):
         enumerate_nc(0)

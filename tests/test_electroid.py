@@ -7,12 +7,13 @@ from electroid_lab.combinat import (
     Matching,
     NCPartition,
     catalan_subset,
+    dominance_leq,
     enumerate_matchings,
     enumerate_nc,
     matching_of_partition,
     partition_of_subset,
 )
-from electroid_lab.corpus import random_network, random_weight
+from electroid_lab.corpus import random_matching, random_network, random_weight
 from electroid_lab.electroid import (
     Electroid,
     NecklaceError,
@@ -118,6 +119,38 @@ def test_oh_equals_order_electroid_exhaustive():
     for n in (2, 3):
         for tau in enumerate_matchings(n):
             assert oh_electroid(tau).members == electroid(tau).members
+
+
+def order_electroid_oracle(tau):
+    """Per partition: its separating matching lies below tau in the uncrossing order."""
+    return frozenset(
+        sigma
+        for sigma in enumerate_nc(tau.n)
+        if matching_leq(matching_of_partition(sigma), tau)
+    )
+
+
+def oh_electroid_oracle(tau):
+    """Per partition: each Catalan subset dominates tau's necklace entry at its base."""
+    n = tau.n
+    neck = necklace(electrical_perm(tau))
+    return frozenset(
+        sigma
+        for sigma in enumerate_nc(n)
+        if all(
+            dominance_leq(neck[s - 1], catalan_subset(sigma, s).elements, s, 2 * n)
+            for s in range(1, 2 * n + 1)
+        )
+    )
+
+
+def test_electroids_match_per_partition_oracles():
+    rng = random.Random(406)
+    taus = [tau for n in range(1, 5) for tau in enumerate_matchings(n)]
+    taus += [random_matching(n, rng) for n in (5, 6) for _ in range(50)]
+    for tau in taus:
+        assert electroid(tau).members == order_electroid_oracle(tau), tau
+        assert oh_electroid(tau).members == oh_electroid_oracle(tau), tau
 
 
 def test_electroid_equals_grove_support():
