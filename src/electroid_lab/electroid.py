@@ -18,7 +18,6 @@ from .combinat import (
     bar_slot,
     catalan_subsets,
     cyclic_rank,
-    dominance_leq,
     dual,
     dual_inverse,
     enumerate_nc,
@@ -44,18 +43,30 @@ class Electroid:
 
 @lru_cache(maxsize=None)
 def _index(n: int):
-    """(sigma, rank band of f of its separating matching, its Catalan subsets at slots 1..2n).
+    """(sigma, rank band of f of its separating matching, ranks of its Catalan subsets).
 
     One row per partition in enumerate_nc order, built on the first electroid
-    of size n; each partition's dual is computed once here.
+    of size n; each partition's dual is computed once here.  The last entry
+    is `_necklace_ranks` of its Catalan subsets at slots 1..2n.
     """
     return tuple(
         (
             sigma,
             rank_band(electrical_perm(matching_of_partition(sigma))),
-            tuple(c.elements for c in catalan_subsets(sigma)),
+            _necklace_ranks([c.elements for c in catalan_subsets(sigma)], n),
         )
         for sigma in enumerate_nc(n)
+    )
+
+
+def _necklace_ranks(subsets, n: int) -> tuple[int, ...]:
+    """The sorted cyclic ranks of the s-th subset in the order rotated to s, for
+    s = 1..2n, concatenated; every Catalan subset has n - 1 elements, so shifted
+    dominance at every slot is one componentwise comparison of these tuples."""
+    return tuple(
+        r
+        for s, I in enumerate(subsets, start=1)
+        for r in sorted(cyclic_rank(x, s, 2 * n) for x in I)
     )
 
 
@@ -276,14 +287,11 @@ def partition_necklace(x) -> PartitionNecklace:
 def oh_electroid(tau: Matching) -> Electroid:
     """The electroid as an intersection of shifted dominance conditions."""
     n = tau.n
-    neck = catalan_necklace_of_matching(tau)
+    ranks = _necklace_ranks(catalan_necklace_of_matching(tau), n)
     members = frozenset(
         sigma
-        for sigma, _, subsets in _index(n)
-        if all(
-            dominance_leq(I, J, s, 2 * n)
-            for s, (I, J) in enumerate(zip(neck, subsets), start=1)
-        )
+        for sigma, _, sigma_ranks in _index(n)
+        if all(x <= y for x, y in zip(ranks, sigma_ranks))
     )
     return Electroid(n, members)
 

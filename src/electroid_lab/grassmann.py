@@ -98,82 +98,81 @@ def validate_bipartite(N: PlanarBipartiteGraph) -> None:
 # matchings and measurements
 
 
-def almost_perfect_matchings(N: PlanarBipartiteGraph):
-    """Yield (edge index set, weight) over matchings using all interior vertices."""
-    adjacency: dict[int, list[int]] = {j: [] for j in range(1, N.interior + 1)}
-    for idx, e in enumerate(N.edges):
-        for kind, i in (e.u, e.v):
-            if kind == "i":
-                adjacency[i].append(idx)
-
-    taken_vertices: set = set()
-    chosen: list[int] = []
-
-    def endpoint_free(ep):
-        return ep not in taken_vertices
-
-    def rec():
-        # pick the unmatched interior vertex with the fewest viable edges
-        best, best_edges = None, None
-        for j in range(1, N.interior + 1):
-            if ("i", j) in taken_vertices:
-                continue
-            viable = [
-                idx
-                for idx in adjacency[j]
-                if endpoint_free(N.edges[idx].u) and endpoint_free(N.edges[idx].v)
-            ]
-            if best is None or len(viable) < len(best_edges):
-                best, best_edges = j, viable
-            if not viable:
-                return
-        if best is None:
-            weight = Fraction(1)
-            for idx in chosen:
-                weight *= N.edges[idx].w
-            yield frozenset(chosen), weight
-            return
-        for idx in best_edges:
-            e = N.edges[idx]
-            taken_vertices.add(e.u)
-            taken_vertices.add(e.v)
-            chosen.append(idx)
-            yield from rec()
-            chosen.pop()
-            taken_vertices.discard(e.u)
-            taken_vertices.discard(e.v)
-
-    yield from rec()
-
-
-def boundary_subset(N: PlanarBipartiteGraph, matching: frozenset) -> frozenset:
-    used = set()
-    for idx in matching:
-        for kind, i in (N.edges[idx].u, N.edges[idx].v):
-            if kind == "b":
-                used.add(i)
-    out = set()
-    for b in range(1, N.m + 1):
-        color = N.boundary_color(b)
-        if (color == "black") == (b in used):
-            out.add(b)
-    return frozenset(out)
-
-
 def boundary_measurements(N: PlanarBipartiteGraph) -> PluckerVector:
-    """Weighted count of almost perfect matchings per boundary subset."""
+    """Weighted count of almost perfect matchings per boundary subset.
+
+    A dynamic program over the interior vertices in `_frontier_order`.  A
+    state is the later interior vertices already matched together with the
+    boundary vertices used, as one bitmask; it maps to the total weight of
+    the partial matchings that cover the processed vertices and reach it.
+    """
     k = N.k()
-    sums: dict = {}
-    found = False
-    for matching, weight in almost_perfect_matchings(N):
-        found = True
-        I = subset_key(boundary_subset(N, matching))
+    order = _frontier_order(N)
+    base = len(order)
+    bit = {("i", j): 1 << pos for pos, j in enumerate(order)}
+    bit.update((("b", b), 1 << (base + b - 1)) for b in range(1, N.m + 1))
+    darts: dict = {j: [] for j in order}
+    for e in N.edges:
+        for here, there in ((e.u, e.v), (e.v, e.u)):
+            if here[0] == "i":
+                darts[here[1]].append((there, e.w))
+    states = {0: Fraction(1)}
+    for pos, j in enumerate(order):
+        mine = 1 << pos
+        # an edge to an earlier vertex is never free; a loop sets no bit
+        steps = [
+            (0 if there == ("i", j) else bit[there], w)
+            for there, w in darts[j]
+            if there[0] == "b" or bit[there] >= mine
+        ]
+        nxt: dict = {}
+        for state, weight in states.items():
+            if state & mine:
+                state ^= mine
+                nxt[state] = nxt[state] + weight if state in nxt else weight
+                continue
+            for b, w in steps:
+                if not state & b:
+                    s = state | b
+                    x = weight if w == 1 else weight * w
+                    nxt[s] = nxt[s] + x if s in nxt else x
+        states = nxt
+    if not states:
+        raise BipartiteError("graph admits no almost perfect matching")
+    black = [N.boundary_color(b) == "black" for b in range(1, N.m + 1)]
+    coords = {}
+    for state, weight in states.items():
+        used = state >> base
+        I = tuple(b for b in range(1, N.m + 1) if black[b - 1] == bool(used >> (b - 1) & 1))
         if len(I) != k:
             raise BipartiteError("boundary subset of unexpected size")
-        sums[I] = sums.get(I, Fraction(0)) + weight
-    if not found:
-        raise BipartiteError("graph admits no almost perfect matching")
-    return PluckerVector.of(N.m, k, sums)
+        coords[I] = weight
+    return PluckerVector.of(N.m, k, coords)
+
+
+def _frontier_order(N: PlanarBipartiteGraph) -> list[int]:
+    """Interior vertices in a greedy order that keeps few later vertices
+    adjacent to processed ones, since only those can already be matched.
+
+    The next vertex is a frontier vertex (one adjacent to a processed vertex)
+    whenever there is one, then the one adding the fewest new vertices to the
+    frontier, then the smallest id.  On top(6) this gives 22 * 10^3 DP steps
+    where the plain id order gives 1.2 * 10^6.
+    """
+    nbrs: dict = {j: set() for j in range(1, N.interior + 1)}
+    for e in N.edges:
+        if e.u[0] == "i" and e.v[0] == "i" and e.u != e.v:
+            nbrs[e.u[1]].add(e.v[1])
+            nbrs[e.v[1]].add(e.u[1])
+    order: list[int] = []
+    left = set(nbrs)
+    frontier: set = set()
+    while left:
+        j = min(left, key=lambda v: (v not in frontier, len(nbrs[v] & left - frontier), v))
+        order.append(j)
+        left.discard(j)
+        frontier = (frontier | nbrs[j]) & left
+    return order
 
 
 # ---------------------------------------------------------------------------

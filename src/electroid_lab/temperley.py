@@ -85,12 +85,13 @@ def concordant_subsets(sigma: NCPartition):
 
 def embed(L: GroveVector) -> PluckerVector:
     """The linear map: coordinate at I sums the grove coordinates concordant with I."""
-    n = L.n
-    by_subset, _ = _concordance_tables(n)
-    coords = {
-        I: sum((L[s] for s in ss), Fraction(0)) for I, ss in by_subset.items()
-    }
-    return PluckerVector.of(2 * n, n - 1, coords)
+    _, by_sigma = _concordance_tables(L.n)
+    coords: dict = {}
+    for s, v in L.coords:
+        if v:
+            for I in by_sigma[s]:
+                coords[I] = coords[I] + v if I in coords else v
+    return PluckerVector.of(2 * L.n, L.n - 1, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +329,26 @@ class NotInImageError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _recovery_order(n: int):
+    """(sigma, its Catalan subset at slot 1), in an order where each subset's
+    other concordant partitions come earlier: by rank sum, ranks, then name."""
+    keyed = []
+    for s in enumerate_nc(n):
+        I = catalan_subset(s, 1).elements
+        ranks = sorted(cyclic_rank(x, 1, 2 * n) for x in I)
+        keyed.append((sum(ranks), ranks, str(s), s, subset_key(I)))
+    keyed.sort()
+    return tuple((sigma, I) for _, _, _, sigma, I in keyed)
+
+
 def recover_groves(delta: PluckerVector) -> GroveVector:
     """Invert the concordance sum through its triangular Catalan block."""
     n = delta.m // 2
     if (delta.m, delta.k) != (2 * n, n - 1):
         raise NotInImageError(f"Gr({delta.k},{delta.m}) is not of the form Gr(n-1,2n)")
-    sigmas = enumerate_nc(n)
-    keyed = []
-    for s in sigmas:
-        I = catalan_subset(s, 1).elements
-        ranks = sorted(cyclic_rank(x, 1, 2 * n) for x in I)
-        keyed.append((sum(ranks), ranks, str(s), s, subset_key(I)))
-    keyed.sort()
     values: dict = {}
-    for _, _, _, sigma, I in keyed:
+    for sigma, I in _recovery_order(n):
         others = sum(
             (values[k] for k in concordant_partitions(I, n) if k in values),
             Fraction(0),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .combinat import NCPartition, enumerate_nc
@@ -84,6 +85,13 @@ def subset_key(subset) -> tuple[int, ...]:
     return tuple(sorted(subset))
 
 
+@lru_cache(maxsize=None)
+def _k_subsets(m: int, k: int):
+    """The k-subsets of 1..m in lexicographic order, as a tuple and as a set."""
+    universe = tuple(itertools.combinations(range(1, m + 1), k))
+    return universe, frozenset(universe)
+
+
 @dataclass(frozen=True)
 class PluckerVector:
     m: int
@@ -93,14 +101,12 @@ class PluckerVector:
     @staticmethod
     def of(m, k, mapping) -> "PluckerVector":
         mapping = {subset_key(key): Fraction(v) for key, v in mapping.items()}
-        for key in mapping:
-            if len(key) != k or not all(1 <= x <= m for x in key) or len(set(key)) != k:
-                raise ValueError(f"not a {k}-subset of 1..{m}: {key}")
-        items = tuple(
-            (subset, mapping.get(subset, Fraction(0)))
-            for subset in itertools.combinations(range(1, m + 1), k)
-        )
-        return PluckerVector(m, k, items)
+        universe, valid = _k_subsets(m, k)
+        if not valid.issuperset(mapping):
+            key = next(key for key in mapping if key not in valid)
+            raise ValueError(f"not a {k}-subset of 1..{m}: {key}")
+        zero = Fraction(0)
+        return PluckerVector(m, k, tuple((s, mapping.get(s, zero)) for s in universe))
 
     def __getitem__(self, subset) -> Fraction:
         return self._lookup[subset_key(subset)]

@@ -199,6 +199,7 @@ GOLDEN_CASES = {
     "necklace_partitions": ["necklace", "partitions", "--matching", "(1,4)(2,6)(3,7)(5,8)"],
     "net_embed_example_five": ["net", "embed", "{example_five}"],
     "verify_quadratic_n4_t20_s9": ["verify", "quadratic", "--n", "4", "--trials", "20", "--seed", "9"],
+    "verify_concordance_n5_t20_s9": ["verify", "concordance", "--n", "5", "--trials", "20", "--seed", "9"],
     "verify_realizability_n4_t20_s9": [
         "verify", "realizability", "--n", "4", "--trials", "20", "--seed", "9"
     ],

@@ -4,19 +4,20 @@ from fractions import Fraction
 
 import pytest
 from exchange_relations import one_swap_relations
+from matching_oracles import enumerated_measurements
 
 from electroid_lab.affine import (
     affine_of_matching,
     electrical_perm,
     necklace,
     shift_identity,
+    top_matching,
 )
 from electroid_lab.combinat import Matching, NCPartition, enumerate_nc, matching_of_partition
 from electroid_lab.corpus import random_network
 from electroid_lab.grassmann import (
     BipartiteError,
     PlanarBipartiteGraph,
-    almost_perfect_matchings,
     apply_chevalley,
     apply_chi,
     apply_move,
@@ -32,7 +33,7 @@ from electroid_lab.grassmann import (
     x_matrix,
     y_matrix,
 )
-from electroid_lab.medial import medial_pairing
+from electroid_lab.medial import medial_pairing, network_of_matching
 from electroid_lab.network import apply_generator, example_five, grove_vector, y_network
 from electroid_lab.temperley import concordant_subsets, embed, temperley_graph
 from electroid_lab.vectors import GroveVector, PluckerVector
@@ -321,7 +322,7 @@ def test_square_move_preserves_measurements():
     assert ws == sorted([a / denom, b / denom, c / denom, d / denom])
 
 
-def test_parallel_merge_move():
+def parallel_graph():
     edges = [
         (("i", 1), ("i", 2), 2),
         (("i", 1), ("i", 2), 3),
@@ -335,15 +336,19 @@ def test_parallel_merge_move():
         ("b", 1): [(2, 0)],
         ("b", 2): [(3, 0)],
     }
-    N = PlanarBipartiteGraph(2, 2, color, tuple(edges), rotation)
+    return PlanarBipartiteGraph(2, 2, color, tuple(edges), rotation)
+
+
+def test_parallel_merge_move():
+    N = parallel_graph()
     before = boundary_measurements(N)
     after = apply_move(N, "R1", (0, 1))
     assert boundary_measurements(after).projectively_equal(before)
     assert len(after.edges) == 3
 
 
-def test_valent_two_removal_boundary_flip():
-    # path: boundary 1 - white w - black b - boundary 2; removing w flips 1
+def valent_two_path():
+    # path: boundary 1 - white w - black b - boundary 2
     edges = [
         (("b", 1), ("i", 1), 2),
         (("i", 1), ("i", 2), 3),
@@ -356,7 +361,12 @@ def test_valent_two_removal_boundary_flip():
         ("b", 1): [(0, 0)],
         ("b", 2): [(2, 0)],
     }
-    N = PlanarBipartiteGraph(2, 2, color, tuple(edges), rotation)
+    return PlanarBipartiteGraph(2, 2, color, tuple(edges), rotation)
+
+
+def test_valent_two_removal_boundary_flip():
+    # removing the white vertex of the path flips the color of boundary 1
+    N = valent_two_path()
     before = boundary_measurements(N)
     assert N.boundary_color(1) == "black"
     after = apply_move(N, "M2", 1)
@@ -365,7 +375,7 @@ def test_valent_two_removal_boundary_flip():
     assert boundary_measurements(after).projectively_equal(before)
 
 
-def test_dipole_removal():
+def dipole_graph():
     edges = [
         (("i", 1), ("i", 2), 5),
         (("b", 1), ("i", 3), 1),
@@ -381,14 +391,19 @@ def test_dipole_removal():
         ("b", 1): [(1, 0)],
         ("b", 2): [(2, 0)],
     }
-    N = PlanarBipartiteGraph(2, 4, color, tuple(edges), rotation)
+    return PlanarBipartiteGraph(2, 4, color, tuple(edges), rotation)
+
+
+def test_dipole_removal():
+    N = dipole_graph()
     before = boundary_measurements(N)
     after = apply_move(N, "R3", 0)
     assert after.interior == 2
     assert boundary_measurements(after).projectively_equal(before)
 
 
-def test_no_matching_error():
+def unmatchable_graph():
+    # interior vertex 3 has no edge at all
     edges = [(("b", 1), ("i", 1), 1), (("b", 2), ("i", 2), 1)]
     color = {1: "black", 2: "black", 3: "black"}
     rotation = {
@@ -397,14 +412,16 @@ def test_no_matching_error():
         ("b", 1): [(0, 0)],
         ("b", 2): [(1, 0)],
     }
-    N = PlanarBipartiteGraph(2, 3, color, tuple(edges), rotation)
+    return PlanarBipartiteGraph(2, 3, color, tuple(edges), rotation)
+
+
+def test_no_matching_error():
     with pytest.raises(BipartiteError):
-        boundary_measurements(N)
+        boundary_measurements(unmatchable_graph())
 
 
-def test_leaf_removal_move():
-    # interior leaf v-u; u also carries a boundary edge, which survives as a
-    # fresh pendant of the leaf's color
+def leaf_graph():
+    # interior leaf v-u; u also carries a boundary edge
     edges = [
         (("i", 1), ("i", 2), 5),  # leaf edge v-u
         (("b", 1), ("i", 2), 1),  # boundary edge at u
@@ -421,7 +438,12 @@ def test_leaf_removal_move():
         ("b", 1): [(1, 0)],
         ("b", 2): [(4, 0)],
     }
-    N = PlanarBipartiteGraph(2, 4, color, tuple(edges), rotation)
+    return PlanarBipartiteGraph(2, 4, color, tuple(edges), rotation)
+
+
+def test_leaf_removal_move():
+    # the boundary edge at u survives as a fresh pendant of the leaf's color
+    N = leaf_graph()
     validate_bipartite(N)
     before = boundary_measurements(N)
     after = apply_move(N, "R2", 1)
@@ -432,8 +454,7 @@ def test_leaf_removal_move():
     assert after.boundary_color(1) == "black"
 
 
-def test_trip_leaf_rules():
-    # a black leaf bounces a trip to a fixed point, a white leaf to i + m
+def leaves_graph():
     edges = [
         (("b", 1), ("i", 1), 1),
         (("b", 2), ("i", 2), 1),
@@ -452,9 +473,93 @@ def test_trip_leaf_rules():
         ("b", 3): [(3, 0)],
         ("b", 4): [(4, 0)],
     }
-    N = PlanarBipartiteGraph(4, 4, color, tuple(edges), rotation)
+    return PlanarBipartiteGraph(4, 4, color, tuple(edges), rotation)
+
+
+def test_trip_leaf_rules():
+    # a black leaf bounces a trip to a fixed point, a white leaf to i + m
+    N = leaves_graph()
     validate_bipartite(N)
     f = trip_permutation(N)
     assert f(1) == 1  # black leaf
     assert f(2) == 3 and f(3) == 2 + 4
     assert f(4) == 4 + 4  # white leaf
+
+
+# ---------------------------------------------------------------------------
+# the frontier DP against the matching enumerator
+
+
+def same_as_enumeration(N):
+    """The DP and the enumerator give the same coordinates, or the same error."""
+    try:
+        expected = enumerated_measurements(N)
+    except BipartiteError as exc:
+        with pytest.raises(BipartiteError) as got:
+            boundary_measurements(N)
+        return str(got.value) == str(exc)
+    return boundary_measurements(N).coords == expected.coords
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_boundary_measurements_match_enumeration_on_corpus(n):
+    rng = random.Random(500 + n)
+    for trial in range(6):
+        net, _ = random_network(n, rng, shaped=trial % 2 == 1, critical=trial < 3)
+        assert same_as_enumeration(temperley_graph(net).graph), (n, trial)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_boundary_measurements_match_enumeration_on_top(n):
+    assert same_as_enumeration(temperley_graph(network_of_matching(top_matching(n))).graph)
+
+
+LOCAL_MOVES = [
+    (lambda: small_square_graph(*map(Fraction, (2, 3, 5, 7))), "M1", (0, 1, 2, 3)),
+    (parallel_graph, "R1", (0, 1)),
+    (valent_two_path, "M2", 1),
+    (dipole_graph, "R3", 0),
+    (leaf_graph, "R2", 1),
+]
+
+
+@pytest.mark.parametrize("build, move, site", LOCAL_MOVES)
+def test_boundary_measurements_match_enumeration_across_local_moves(build, move, site):
+    N = build()
+    assert same_as_enumeration(N)
+    assert same_as_enumeration(apply_move(N, move, site))
+
+
+def test_boundary_measurements_match_enumeration_on_white_boundary_vertices():
+    N = valent_two_path()
+    assert N.boundary_color(1) == "black"  # boundary 1 hangs on a white vertex
+    assert same_as_enumeration(N)
+    assert same_as_enumeration(leaves_graph())
+
+
+def test_boundary_measurements_errors_match_enumeration():
+    assert same_as_enumeration(unmatchable_graph())
+    # two black vertices joined: matching them leaves a boundary subset of the wrong size
+    edges = [(("i", 1), ("i", 2), 1), (("b", 1), ("i", 1), 1), (("b", 2), ("i", 2), 1)]
+    rotation = {
+        ("i", 1): [(0, 0), (1, 1)],
+        ("i", 2): [(0, 1), (2, 1)],
+        ("b", 1): [(1, 0)],
+        ("b", 2): [(2, 0)],
+    }
+    N = PlanarBipartiteGraph(2, 2, {1: "black", 2: "black"}, tuple(edges), rotation)
+    with pytest.raises(BipartiteError, match="unexpected size"):
+        boundary_measurements(N)
+    assert same_as_enumeration(N)
+
+
+def test_plucker_vector_of_names_the_first_bad_key():
+    with pytest.raises(ValueError) as got:
+        PluckerVector.of(4, 2, {(2, 1): 1, (2, 5): 1, (1, 1): 1, (3,): 1})
+    assert str(got.value) == "not a 2-subset of 1..4: (2, 5)"
+    with pytest.raises(ValueError) as got:
+        PluckerVector.of(4, 2, {(1, 1): 1, (3,): 1})
+    assert str(got.value) == "not a 2-subset of 1..4: (1, 1)"
+    delta = PluckerVector.of(4, 2, {(3, 1): 2})
+    assert [I for I, _ in delta.coords] == list(itertools.combinations(range(1, 5), 2))
+    assert delta[(1, 3)] == 2 and delta[(2, 4)] == 0

@@ -208,7 +208,7 @@ def test_trips_match_medial_pairing():
 def test_grove_of_matching_y():
     a, b, c = Fraction(2), Fraction(3), Fraction(5)
     T = temperley_graph(y_network(a, b, c))
-    from electroid_lab.grassmann import almost_perfect_matchings, boundary_subset
+    from matching_oracles import almost_perfect_matchings, boundary_subset
 
     by_subset = {}
     for matching, weight in almost_perfect_matchings(T.graph):
@@ -227,7 +227,7 @@ def test_grove_of_matching_y():
 def test_grove_matching_weight_bijection():
     net = example_five()
     T = temperley_graph(net)
-    from electroid_lab.grassmann import almost_perfect_matchings, boundary_subset
+    from matching_oracles import almost_perfect_matchings, boundary_subset
 
     L = grove_vector(net)
     sums = {}
@@ -240,6 +240,33 @@ def test_grove_matching_weight_bijection():
         assert total == sum(
             (L[s] for s in concordant_partitions(I, 5)), Fraction(0)
         )
+
+
+def dense_embed(L):
+    """The coordinate at each subset summed over all its concordant partitions."""
+    by_subset, _ = _concordance_tables(L.n)
+    coords = {I: sum((L[s] for s in ss), Fraction(0)) for I, ss in by_subset.items()}
+    return PluckerVector.of(2 * L.n, L.n - 1, coords)
+
+
+def test_embed_matches_dense_sum():
+    rng = random.Random(41)
+    vectors = [grove_vector(example_five())]
+    for n in range(1, 6):
+        vectors.append(GroveVector.of(n, {}))
+        vectors.append(GroveVector.of(n, {rng.choice(enumerate_nc(n)): Fraction(-3, 7)}))
+        coords = {s: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for s in enumerate_nc(n)}
+        vectors.append(GroveVector.of(n, coords))
+    # +1 and -1 on two partitions cancel exactly where their concordant subsets meet
+    a, b = P("1 2|3"), P("1|2 3")
+    shared = set(concordant_subsets(a)) & set(concordant_subsets(b))
+    cancel = GroveVector.of(3, {a: 1, b: -1})
+    assert shared and all(embed(cancel)[I] == 0 for I in shared)
+    assert embed(cancel).support()
+    vectors.append(cancel)
+    assert not embed(GroveVector.of(4, {})).support()
+    for L in vectors:
+        assert embed(L).coords == dense_embed(L).coords
 
 
 def test_recover_groves_roundtrip():
@@ -313,7 +340,7 @@ def test_concordance_matrix_export():
 
 
 def test_grove_of_matching_hollow_is_empty_forest():
-    from electroid_lab.grassmann import almost_perfect_matchings
+    from matching_oracles import almost_perfect_matchings
 
     net = hollow_cactus(P("1|2 3 5|4"))
     T = temperley_graph(net)
