@@ -265,6 +265,25 @@ def _find(parent, x):
     return x
 
 
+def _frontier_order(nbrs: dict) -> list:
+    """The vertices of an adjacency dict in a greedy order for a frontier DP.
+
+    The next vertex is a frontier vertex (one adjacent to a processed vertex)
+    whenever there is one, then the one adding the fewest new vertices to the
+    frontier, then the smallest id, so the order is deterministic and the set
+    of processed vertices with unprocessed neighbours stays small.
+    """
+    order: list = []
+    left = set(nbrs)
+    frontier: set = set()
+    while left:
+        j = min(left, key=lambda v: (v not in frontier, len(nbrs[v] & left - frontier), v))
+        order.append(j)
+        left.discard(j)
+        frontier = (frontier | nbrs[j]) & left
+    return order
+
+
 def partition_of_matching(tau: Matching) -> NCPartition:
     """Inverse of matching_of_partition, defined on non-crossing matchings."""
     if crossing_number(tau) != 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import BoundedAffinePermutation, necklace, perm_of_necklace
-from .combinat import cyclic_rank, dominance_leq
+from .combinat import _frontier_order, cyclic_rank, dominance_leq
 from .linalg import det
 from .vectors import PluckerVector, subset_key
 
@@ -101,13 +101,20 @@ def validate_bipartite(N: PlanarBipartiteGraph) -> None:
 def boundary_measurements(N: PlanarBipartiteGraph) -> PluckerVector:
     """Weighted count of almost perfect matchings per boundary subset.
 
-    A dynamic program over the interior vertices in `_frontier_order`.  A
-    state is the later interior vertices already matched together with the
+    A dynamic program over the interior vertices in `_frontier_order`, where
+    only frontier vertices can already be matched (on top(6) this gives
+    22 * 10^3 DP steps where the plain id order gives 1.2 * 10^6).  A state
+    is the later interior vertices already matched together with the
     boundary vertices used, as one bitmask; it maps to the total weight of
     the partial matchings that cover the processed vertices and reach it.
     """
     k = N.k()
-    order = _frontier_order(N)
+    nbrs: dict = {j: set() for j in range(1, N.interior + 1)}
+    for e in N.edges:
+        if e.u[0] == "i" and e.v[0] == "i" and e.u != e.v:
+            nbrs[e.u[1]].add(e.v[1])
+            nbrs[e.v[1]].add(e.u[1])
+    order = _frontier_order(nbrs)
     base = len(order)
     bit = {("i", j): 1 << pos for pos, j in enumerate(order)}
     bit.update((("b", b), 1 << (base + b - 1)) for b in range(1, N.m + 1))
@@ -148,31 +155,6 @@ def boundary_measurements(N: PlanarBipartiteGraph) -> PluckerVector:
             raise BipartiteError("boundary subset of unexpected size")
         coords[I] = weight
     return PluckerVector.of(N.m, k, coords)
-
-
-def _frontier_order(N: PlanarBipartiteGraph) -> list[int]:
-    """Interior vertices in a greedy order that keeps few later vertices
-    adjacent to processed ones, since only those can already be matched.
-
-    The next vertex is a frontier vertex (one adjacent to a processed vertex)
-    whenever there is one, then the one adding the fewest new vertices to the
-    frontier, then the smallest id.  On top(6) this gives 22 * 10^3 DP steps
-    where the plain id order gives 1.2 * 10^6.
-    """
-    nbrs: dict = {j: set() for j in range(1, N.interior + 1)}
-    for e in N.edges:
-        if e.u[0] == "i" and e.v[0] == "i" and e.u != e.v:
-            nbrs[e.u[1]].add(e.v[1])
-            nbrs[e.v[1]].add(e.u[1])
-    order: list[int] = []
-    left = set(nbrs)
-    frontier: set = set()
-    while left:
-        j = min(left, key=lambda v: (v not in frontier, len(nbrs[v] & left - frontier), v))
-        order.append(j)
-        left.discard(j)
-        frontier = (frontier | nbrs[j]) & left
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +314,32 @@ def y_matrix(m: int, i: int, a) -> list:
 
 
 def mat_mul(A, B):
-    return [
-        [sum(A[r][t] * B[t][c] for t in range(len(B))) for c in range(len(B[0]))]
-        for r in range(len(A))
-    ]
+    """Row-sparse product: row r of AB sums A[r][t] * B[t] over the nonzero A[r][t]."""
+    zero = Fraction(0)
+    out = []
+    for row in A:
+        acc = [zero] * len(B[0])
+        for t, a in enumerate(row):
+            if a:
+                for c, b in enumerate(B[t]):
+                    if b:
+                        acc[c] += a * b
+        out.append(acc)
+    return out
 
 
 def u_matrix(m: int, i: int, a) -> list:
+    """x_matrix(m, i, a) times y_matrix(m, i - 1, a), cyclically, for m >= 2.
+
+    Both factors add a to row i - 1, at columns i and i - 2 (mod m), and
+    their cross term vanishes, so the product is built directly.
+    """
     j = i - 1 if i > 1 else m
-    return mat_mul(x_matrix(m, i, a), y_matrix(m, j, a))
+    a = Fraction(a)
+    M = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    M[i - 1][i % m] += a
+    M[i - 1][j - 1] += a
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,12 @@ def mat_solve(A, B):
 
 
 def det(A):
-    """Exact determinant by Gaussian elimination over Fraction."""
+    """Exact determinant by Gaussian elimination over Fraction; closed forms below 3 x 3."""
     m = len(A)
+    if m == 1:
+        return Fraction(A[0][0])
+    if m == 2:
+        return Fraction(A[0][0] * A[1][1] - A[0][1] * A[1][0])
     M = [list(map(Fraction, row)) for row in A]
     sign = 1
     result = Fraction(1)

@@ -15,9 +15,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import embedding
-from .combinat import NCPartition, _find
+from .combinat import NCPartition, _frontier_order
 from .linalg import det, mat_solve
 from .vectors import GroveVector
 
@@ -203,45 +204,78 @@ def grove_vector(net: CactusNetwork) -> GroveVector:
     """Sum edge-weight products over spanning subforests rooted at the boundary.
 
     Works on the quotient graph; a subset of edges counts when it is acyclic
-    and every interior vertex is connected to some boundary class.
+    and every interior vertex is connected to some boundary class.  A frontier
+    DP: the class vertices stay active throughout, and interior vertices enter
+    in `_frontier_order` and leave after their last edge.  A state labels the
+    blocks of the active vertices by first occurrence; it maps to the total
+    weight of the forests on the processed edges that induce it.  A vertex
+    leaving alone in its block would strand its component, so that state dies.
     """
-    classes = list(range(len(net.shape.parts)))
-    verts = net.quotient_vertices()
-    vid = {v: i for i, v in enumerate(verts)}
-    qedges = [
-        (vid[net.quotient_endpoint(e.u)], vid[net.quotient_endpoint(e.v)], e.w)
-        for e in net.edges
-    ]
-    m = len(qedges)
-    totals: dict[NCPartition, Fraction] = {}
-
-    for mask in range(1 << m):
-        parent = list(range(len(verts)))
-        weight = Fraction(1)
-        acyclic = True
-        for i in range(m):
-            if mask >> i & 1:
-                a, b, w = qedges[i]
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra == rb:
-                    acyclic = False
-                    break
-                parent[ra] = rb
-                weight *= w
-        if not acyclic:
-            continue
-        roots_with_boundary = {_find(parent, vid[("c", ci)]) for ci in classes}
-        if any(
-            _find(parent, vid[("v", j)]) not in roots_with_boundary
-            for j in range(1, net.interior + 1)
-        ):
-            continue
-        groups: dict[int, list[int]] = {}
-        for ci in classes:
-            groups.setdefault(_find(parent, vid[("c", ci)]), []).extend(net.shape.parts[ci])
-        sigma = NCPartition.of(net.n, groups.values())
-        totals[sigma] = totals.get(sigma, Fraction(0)) + weight
+    classes = len(net.shape.parts)
+    class_of = embedding.class_index_map(net.shape)
+    # quotient vertex ids: class ci is ci, interior vertex j is classes + j - 1
+    qid = lambda ep: class_of[ep[1]] if ep[0] == "b" else classes + ep[1] - 1
+    darts: dict = {v: [] for v in range(classes, classes + net.interior)}
+    states = {tuple(range(classes)): Fraction(1)}
+    for e in net.edges:
+        a, b = qid(e.u), qid(e.v)
+        if a == b:
+            continue  # a loop of the quotient is in no forest
+        if a < classes and b < classes:
+            states = _join(states, a, b, e.w)
+        for here, there in ((a, b), (b, a)):
+            if here >= classes:
+                darts[here].append((there, e.w))
+    nbrs = {v: {u for u, _ in ds if u >= classes} for v, ds in darts.items()}
+    active = list(range(classes))
+    entered = set(active)
+    for v in _frontier_order(nbrs):
+        # each edge is taken or not when its later end enters
+        states = {s + (max(s) + 1,): x for s, x in states.items()}
+        for u, w in darts[v]:
+            if u in entered:
+                states = _join(states, active.index(u), len(active), w)
+        active.append(v)
+        entered.add(v)
+        for u in [u for u in active[classes:] if nbrs[u] <= entered]:
+            states = _leave(states, active.index(u))
+            active.remove(u)
+    totals = {}
+    for s, x in states.items():
+        groups: list = [[] for _ in range(max(s) + 1)]
+        for part, label in zip(net.shape.parts, s):
+            groups[label].extend(part)
+        totals[NCPartition.of(net.n, groups)] = x
     return GroveVector.of(net.n, totals)
+
+
+def _join(states: dict, p: int, q: int, w) -> dict:
+    """Each state without the edge between positions p and q, and with it
+    where it joins two blocks (the later label folds into the earlier)."""
+    out = dict(states)
+    for s, x in states.items():
+        lo, hi = sorted((s[p], s[q]))
+        if lo == hi:
+            continue
+        t = tuple(lo if y == hi else y - (y > hi) for y in s)
+        if w != 1:
+            x = x * w
+        out[t] = out[t] + x if t in out else x
+    return out
+
+
+def _leave(states: dict, p: int) -> dict:
+    """Drop position p; a state where it is alone in its block dies."""
+    out: dict = {}
+    for s, x in states.items():
+        t = s[:p] + s[p + 1 :]
+        if s[p] not in t:
+            continue
+        if s[p] not in s[:p]:
+            relabel: dict = {}
+            t = tuple(relabel.setdefault(y, len(relabel)) for y in t)
+        out[t] = out[t] + x if t in out else x
+    return out
 
 
 def uncrossed_partition(n: int) -> NCPartition:
@@ -297,26 +331,28 @@ def response_matrix(net: CactusNetwork) -> ResponseMatrix:
 
 def circular_minor_ok(lam: ResponseMatrix, max_r: int = 3) -> bool:
     """Sign conditions: (-1)^r det of every circular minor is nonnegative."""
-    n = lam.n
-    for r in range(1, max_r + 1):
-        for rows in itertools.combinations(range(n), r):
-            for cols in itertools.combinations(set(range(n)) - set(rows), r):
-                if not _is_circular(rows, cols, n):
-                    continue
-                sub = [[lam.entries[i][j] for j in cols] for i in rows]
-                if (-1) ** r * det(sub) < 0:
-                    return False
+    for rows, cols in _circular_pairs(lam.n, max_r):
+        sub = [[lam.entries[i][j] for j in cols] for i in rows]
+        if (-1) ** len(rows) * det(sub) < 0:
+            return False
     return True
 
 
-def _is_circular(rows, cols, n) -> bool:
-    """(i_1 .. i_r, j_r .. j_1) is in circular order for some rotation."""
-    seq = sorted(rows) + sorted(cols, reverse=True)
-    for shift in range(n):
-        vals = [(x - shift) % n for x in seq]
-        if all(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            return True
-    return False
+@lru_cache(maxsize=None)
+def _circular_pairs(n: int, max_r: int) -> tuple:
+    """The disjoint (rows, cols) of size r <= max_r, each sorted, such that
+    (i_1 .. i_r, j_r .. j_1) is in circular order for some rotation."""
+    out = []
+    for r in range(1, max_r + 1):
+        for rows in itertools.combinations(range(n), r):
+            for cols in itertools.combinations([j for j in range(n) if j not in rows], r):
+                seq = rows + cols[::-1]
+                if any(
+                    all((x - shift) % n < (y - shift) % n for x, y in zip(seq, seq[1:]))
+                    for shift in range(n)
+                ):
+                    out.append((rows, cols))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,16 @@ def _normalize_items(items):
     return tuple((key, v * scale) for key, v in items)
 
 
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int):
+    """The non-crossing partitions of 1..n in canonical order, and each one's position."""
+    universe = enumerate_nc(n)
+    return universe, {sigma: i for i, sigma in enumerate(universe)}
+
+
 @dataclass(frozen=True)
 class GroveVector:
     n: int
@@ -43,12 +53,14 @@ class GroveVector:
 
     @staticmethod
     def of(n, mapping) -> "GroveVector":
-        universe = enumerate_nc(n)
-        stray = set(mapping) - set(universe)
+        universe, position = _partitions(n)
+        stray = {sigma for sigma in mapping if sigma not in position}
         if stray:
             raise ValueError(f"unknown partition keys: {sorted(map(str, stray))}")
-        items = tuple((sigma, Fraction(mapping.get(sigma, 0))) for sigma in universe)
-        return GroveVector(n, items)
+        values = [_ZERO] * len(universe)
+        for sigma, v in mapping.items():
+            values[position[sigma]] = Fraction(v)
+        return GroveVector(n, tuple(zip(universe, values)))
 
     def __getitem__(self, sigma) -> Fraction:
         return self._lookup[sigma]
@@ -105,8 +117,7 @@ class PluckerVector:
         if not valid.issuperset(mapping):
             key = next(key for key in mapping if key not in valid)
             raise ValueError(f"not a {k}-subset of 1..{m}: {key}")
-        zero = Fraction(0)
-        return PluckerVector(m, k, tuple((s, mapping.get(s, zero)) for s in universe))
+        return PluckerVector(m, k, tuple((s, mapping.get(s, _ZERO)) for s in universe))
 
     def __getitem__(self, subset) -> Fraction:
         return self._lookup[subset_key(subset)]

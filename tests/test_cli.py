@@ -198,6 +198,7 @@ GOLDEN_CASES = {
     ],
     "necklace_partitions": ["necklace", "partitions", "--matching", "(1,4)(2,6)(3,7)(5,8)"],
     "net_embed_example_five": ["net", "embed", "{example_five}"],
+    "net_groves_top6_seeded": ["net", "groves", "{top6_seeded}"],
     "verify_quadratic_n4_t20_s9": ["verify", "quadratic", "--n", "4", "--trials", "20", "--seed", "9"],
     "verify_concordance_n5_t20_s9": ["verify", "concordance", "--n", "5", "--trials", "20", "--seed", "9"],
     "verify_realizability_n4_t20_s9": [
@@ -211,7 +212,8 @@ def test_golden_output(capsys, tmp_path, name):
     """Stdout is byte-identical to the recorded output in tests/golden."""
     path = tmp_path / "example_five.json"
     path.write_text(to_json(example_five()))
-    argv = [arg.format(example_five=path) for arg in GOLDEN_CASES[name]]
+    top6 = GOLDEN / "top6_seeded.json"  # top(6) with weights drawn by random_weight, seed 6
+    argv = [arg.format(example_five=path, top6_seeded=top6) for arg in GOLDEN_CASES[name]]
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()

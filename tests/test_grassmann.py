@@ -563,3 +563,38 @@ def test_plucker_vector_of_names_the_first_bad_key():
     delta = PluckerVector.of(4, 2, {(3, 1): 2})
     assert [I for I, _ in delta.coords] == list(itertools.combinations(range(1, 5), 2))
     assert delta[(1, 3)] == 2 and delta[(2, 4)] == 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse braid matrices against dense products
+
+
+def dense_mul(A, B):
+    return [
+        [sum(A[r][t] * B[t][c] for t in range(len(B))) for c in range(len(B[0]))]
+        for r in range(len(A))
+    ]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_u_matrix_is_the_dense_product_of_x_and_y(m):
+    for i in range(1, m + 1):
+        j = i - 1 if i > 1 else m
+        for a in (Fraction(3, 7), Fraction(-2), Fraction(0), 5):
+            got = u_matrix(m, i, a)
+            assert got == dense_mul(x_matrix(m, i, a), y_matrix(m, j, a)), (m, i, a)
+            assert all(type(x) is Fraction for row in got for x in row)
+    # at m = 2 both entries land in one cell: u(2, 1, a) = [[1, 2a], [0, 1]]
+    assert u_matrix(2, 1, 3) == [[1, 6], [0, 1]] and u_matrix(2, 2, 3) == [[1, 0], [6, 1]]
+
+
+def test_mat_mul_is_the_dense_product():
+    rng = random.Random(17)
+    for _ in range(100):
+        r, k, c = (rng.randrange(1, 7) for _ in range(3))
+        entry = lambda: Fraction(rng.choice((0, 0, 0, 1, -2, 5)), rng.randrange(1, 4))
+        A = [[entry() for _ in range(k)] for _ in range(r)]
+        B = [[entry() for _ in range(c)] for _ in range(k)]
+        assert mat_mul(A, B) == dense_mul(A, B)
+    zero = [[Fraction(0)] * 3 for _ in range(2)]
+    assert mat_mul(zero, [[Fraction(1)] * 4 for _ in range(3)]) == [[0] * 4, [0] * 4]
