@@ -19,6 +19,7 @@ from .combinat import (
     enumerate_nc,
     matching_of_partition,
 )
+from .errors import InvariantError
 from .vectors import GroveVector
 
 
@@ -574,6 +575,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

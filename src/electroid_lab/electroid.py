@@ -27,6 +27,7 @@ from .combinat import (
     partition_of_subset,
     tilde_slot,
 )
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,9 @@ def legal_transition(sigma: NCPartition, a: int, b: int, b_tilde: bool = False) 
         inside2 = [x for x in part if in_open_arc(bar_slot(x), *arc2, N)]
         if inside1 and inside2:
             if len(inside1) + len(inside2) != len(part):
-                raise AssertionError("separating part leaks outside both arcs")
+                raise InvariantError(
+                    f"separating part {sorted(part)} of {sigma} leaks outside both arcs"
+                )
             separators.append((part, inside1, inside2))
     separators.sort(
         key=lambda rec: min(cyclic_rank(bar_slot(x), arc1[0], N) for x in rec[1])

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import BoundedAffinePermutation, necklace, perm_of_necklace
-from .combinat import _frontier_order, cyclic_rank, dominance_leq
-from .linalg import det
+from .combinat import _frontier_order, dominance_leq
 from .vectors import PluckerVector, subset_key
 
 
@@ -203,14 +202,28 @@ def trip_permutation(N: PlanarBipartiteGraph) -> BoundedAffinePermutation:
 
 
 def necklace_of_point(delta: PluckerVector):
-    """Entry a is the lexicographically least support member in the a-order."""
-    support = sorted(tuple(sorted(s)) for s in delta.support())
-    if not support:
+    """Entry a is the lexicographically least support member in the a-order.
+
+    Each member I gets the reversed label mask R = sum of 2^(m - x) over x in
+    I.  Rotated left by a - 1 within m bits, it has the bit 2^(m - r) for each
+    member of cyclic rank r in the a-order, so the lex-least sorted ranks are
+    the largest rotated mask; distinct subsets never tie.
+    """
+    m = delta.m
+    full = (1 << m) - 1
+    members = {}
+    for key, v in delta.coords:
+        if v != 0:
+            R = 0
+            for x in key:
+                R |= 1 << (m - x)
+            members[R] = key
+    if not members:
         raise ValueError("zero vector")
     out = []
-    for a in range(1, delta.m + 1):
-        key = lambda I: sorted(cyclic_rank(x, a, delta.m) for x in I)
-        out.append(frozenset(min(support, key=key)))
+    for s in range(m):
+        best = max(members, key=lambda R: ((R << s) | (R >> (m - s))) & full)
+        out.append(frozenset(members[best]))
     return out
 
 
@@ -352,21 +365,45 @@ def plucker_check(delta: PluckerVector) -> bool:
     With I0 the first nonzero coordinate, row r of A holds the coordinates of
     I0 with its r-th index replaced by j, signed into sorted order and divided
     by the coordinate at I0, so A is the identity on the columns of I0.
+
+    All k x k minors come from one memoized Laplace pass over the rows: the
+    minor of the first r + 1 rows on a column set T expands along row r as
+    the sum over t in T of (-1)^(r + pos) A[r][t] M_r(T - t), where pos is
+    the place of t in T.  Column sets are bitmasks, and zero entries and zero
+    minors are skipped.
     """
     lookup = delta._lookup
     I0 = next((key for key, v in delta.coords if v != 0), None)
     if delta.k == 0 or I0 is None:
         return True
     d0 = lookup[I0]
-    A = []
+    minors = {0: Fraction(1)}
     for r in range(delta.k):
         row = []
         for j in range(1, delta.m + 1):
             I = I0[:r] + (j,) + I0[r + 1 :]
             s = _sort_sign(I)
-            row.append(s * lookup[tuple(sorted(I))] / d0 if s else Fraction(0))
-        A.append(row)
-    return all(v == d0 * det([[row[j - 1] for j in J] for row in A]) for J, v in delta.coords)
+            v = lookup[tuple(sorted(I))] if s else 0
+            if v:
+                bit = 1 << (j - 1)
+                row.append((bit, bit - 1, s * v / d0))
+        nxt: dict = {}
+        for T, minor in minors.items():
+            for bit, below, a in row:
+                if not T & bit:
+                    x = a * minor
+                    if (T & below).bit_count() + r & 1:
+                        x = -x
+                    U = T | bit
+                    nxt[U] = nxt[U] + x if U in nxt else x
+        minors = {T: x for T, x in nxt.items() if x}
+    for J, v in delta.coords:
+        T = 0
+        for j in J:
+            T |= 1 << (j - 1)
+        if v != d0 * minors.get(T, 0):
+            return False
+    return True
 
 
 def _sort_sign(seq) -> int:

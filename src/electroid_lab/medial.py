@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import Matching, NCPartition
+from .errors import InvariantError
 from .network import CactusNetwork, apply_generator, hollow_cactus, insert_trivial_strand
 
 
@@ -118,7 +119,9 @@ def medial_graph(net: CactusNetwork) -> MedialGraph:
                 if state not in used:
                     path, landing = trace(state)
                     if landing is not None:
-                        raise AssertionError("unused state reached the boundary")
+                        raise InvariantError(
+                            f"unused medial state {state} reached boundary slot {landing}"
+                        )
                     closed.append(Strand(None, None, tuple(path)))
 
     return MedialGraph(net.n, strands, closed)
@@ -165,7 +168,7 @@ def network_of_matching(tau: Matching) -> CactusNetwork:
         if tau.chords_cross(i, j):
             swapped = _swap_slots(tau, i, j)
             return apply_generator(network_of_matching(swapped), i, 1)
-    raise AssertionError(f"no trivial pair and no adjacent crossing in {tau}")
+    raise InvariantError(f"no trivial pair and no adjacent crossing in {tau}")
 
 
 def _strip_pair(tau: Matching, i: int) -> Matching:

@@ -16,6 +16,7 @@ from .affine import (
     necklace,
 )
 from .combinat import Matching, NCPartition
+from .errors import InvariantError
 from .grassmann import apply_u, perm_of_point
 from .network import (
     CactusNetwork,
@@ -63,15 +64,15 @@ def _conjugated_window(f, i: int):
     )
 
 
-def reduce_step(delta: PluckerVector, i: int):
+def reduce_step(delta: PluckerVector, i: int, f):
     """Peel one boundary generator off the point at index i.
 
-    Requires i < f(i) < f(i+1).  Returns the reduced point and the exact
-    generator parameter, the ratio of two necklace coordinates.  The result
-    is checked to land exactly on the adjacent stratum, so a non-member
-    input fails fast instead of silently looping.
+    f is the permutation of the point, `perm_of_point(delta)`.  Requires
+    i < f(i) < f(i+1).  Returns the reduced point, the exact generator
+    parameter (the ratio of two necklace coordinates) and the permutation of
+    the reduced point.  That permutation is checked to be the adjacent
+    stratum's, so a non-member input fails fast instead of silently looping.
     """
-    f = perm_of_point(delta)
     N = delta.m
     if not (i < f(i) < f(i + 1)):
         raise RealizationError(f"index {i} admits no reduction: f(i)={f(i)}, f(i+1)={f(i + 1)}")
@@ -86,19 +87,31 @@ def reduce_step(delta: PluckerVector, i: int):
     J2 = subset_key(J - {im1} | {i})
     I, J = subset_key(I), subset_key(J)
     if delta[I] != delta[J] or delta[I2] != delta[J2]:
-        raise AssertionError("slice coordinate equalities fail; input is not in the slice")
+        raise InvariantError(
+            f"slice coordinate equalities fail at index {i} of f={f.window}: "
+            f"delta{I}={delta[I]}, delta{J}={delta[J]}, delta{I2}={delta[I2]}, delta{J2}={delta[J2]}"
+        )
     if delta[I2] == 0:
-        raise AssertionError("reduction denominator vanishes on a nonnegative point")
+        raise InvariantError(
+            f"reduction denominator delta{I2} vanishes at index {i} of f={f.window}"
+        )
     a = delta[I] / delta[I2]
     reduced = apply_u(delta, i, -a)
-    if perm_of_point(reduced) != _conjugated_window(f, i):
-        raise AssertionError("reduction did not reach the adjacent stratum")
-    return reduced, a
+    g = perm_of_point(reduced)
+    expected = _conjugated_window(f, i)
+    if g != expected:
+        raise InvariantError(
+            f"reduction at index {i} of f={f.window} reached {g.window}, "
+            f"not the adjacent stratum {expected.window}"
+        )
+    return reduced, a, g
 
 
-def project_fixed_point(delta: PluckerVector, i: int) -> PluckerVector:
-    """Forget a trivial strand pair (i, i+1); boundary labels close up."""
-    f = perm_of_point(delta)
+def project_fixed_point(delta: PluckerVector, i: int, f) -> PluckerVector:
+    """Forget a trivial strand pair (i, i+1); boundary labels close up.
+
+    f is the permutation of the point, `perm_of_point(delta)`.
+    """
     N = delta.m
     if f(i) != i or f(i + 1) != i + N - 1:
         raise RealizationError(f"index {i} is not a fixed point of the right form")
@@ -122,28 +135,29 @@ def network_from_point(delta: PluckerVector) -> CactusNetwork:
     cls = classify_point(delta)
     if not cls.in_X_nonneg:
         raise RealizationError("point is not a nonnegative member of the slice")
-    net = _realize(delta)
+    f = perm_of_point(delta)
+    net = _realize(delta, f)
     if not embed(grove_vector(net)).projectively_equal(delta):
-        raise AssertionError("reconstruction does not reproduce the point")
+        raise InvariantError(f"reconstruction does not reproduce the point of f={f.window}")
     return net
 
 
-def _realize(delta: PluckerVector) -> CactusNetwork:
+def _realize(delta: PluckerVector, f) -> CactusNetwork:
+    """The recursion of `network_from_point`; f is `perm_of_point(delta)`."""
     N = delta.m
     n = N // 2
     if n == 1:
         return hollow_cactus(NCPartition.of(1, [[1]]))
-    f = perm_of_point(delta)
     if not is_electrical(f):
         raise RealizationError(f"stratum permutation is not electrical: {f}")
     for i in range(1, N + 1):
         if f(i) == i:
-            smaller = project_fixed_point(delta, i)
-            return insert_trivial_strand(_realize(smaller), i)
+            smaller = project_fixed_point(delta, i, f)
+            return insert_trivial_strand(_realize(smaller, perm_of_point(smaller)), i)
     for i in range(1, N + 1):
         if i < f(i) < f(i + 1):
-            reduced, a = reduce_step(delta, i)
-            return apply_generator(_realize(reduced), i, a)
-    raise AssertionError(
-        f"no fixed point and no reducible index for {f}; cannot happen for slice points"
+            reduced, a, g = reduce_step(delta, i, f)
+            return apply_generator(_realize(reduced, g), i, a)
+    raise InvariantError(
+        f"no fixed point and no reducible index for f={f.window}; cannot happen for slice points"
     )

@@ -19,21 +19,23 @@ from .combinat import NCPartition, enumerate_nc
 
 
 def _normalize_items(items):
-    """Canonical integer form of a projective coordinate family."""
-    nonzero = [v for _, v in items if v != 0]
+    """Canonical integer form of a projective coordinate family.
+
+    Only the nonzero coordinates are scaled; zeros become the shared `_ZERO`.
+    """
+    nonzero = [v for _, v in items if v]
     if not nonzero:
         raise ValueError("projective vector must have a nonzero coordinate")
     denom_lcm = 1
     for v in nonzero:
         denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [v * denom_lcm for v in nonzero]
     g = 0
-    for v in ints:
-        g = gcd(g, int(v))
+    for v in nonzero:
+        g = gcd(g, v.numerator * (denom_lcm // v.denominator))
     scale = Fraction(denom_lcm, g)
-    if next(v for _, v in items if v != 0) < 0:
+    if nonzero[0] < 0:
         scale = -scale
-    return tuple((key, v * scale) for key, v in items)
+    return tuple((key, v * scale if v else _ZERO) for key, v in items)
 
 
 _ZERO = Fraction(0)

@@ -217,3 +217,21 @@ def test_golden_output(capsys, tmp_path, name):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_broken_invariant_exits_3_with_one_line(capsys, tmp_path, monkeypatch, y3_file):
+    from electroid_lab import realize
+    from electroid_lab.errors import InvariantError
+
+    assert not issubclass(InvariantError, ValueError)
+    code, out = run(capsys, "net", "embed", y3_file)
+    point = tmp_path / "point.json"
+    point.write_text(out)
+    # every reduction now expects to land back on its own stratum
+    monkeypatch.setattr(realize, "_conjugated_window", lambda f, i: f)
+    code = main(["net", "realize", str(point)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: internal invariant broken: reduction at index ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from exchange_relations import one_swap_relations
+from grassmann_oracles import det_plucker_check, sorted_necklace_of_point
 from matching_oracles import enumerated_measurements
 
 from electroid_lab.affine import (
@@ -14,6 +15,7 @@ from electroid_lab.affine import (
     top_matching,
 )
 from electroid_lab.combinat import Matching, NCPartition, enumerate_nc, matching_of_partition
+from electroid_lab import grassmann
 from electroid_lab.corpus import random_network
 from electroid_lab.grassmann import (
     BipartiteError,
@@ -24,6 +26,7 @@ from electroid_lab.grassmann import (
     apply_u,
     boundary_measurements,
     mat_mul,
+    necklace_of_point,
     perm_of_point,
     plucker_check,
     positroid_of,
@@ -36,6 +39,7 @@ from electroid_lab.grassmann import (
 from electroid_lab.medial import medial_pairing, network_of_matching
 from electroid_lab.network import apply_generator, example_five, grove_vector, y_network
 from electroid_lab.temperley import concordant_subsets, embed, temperley_graph
+from electroid_lab.linalg import det
 from electroid_lab.vectors import GroveVector, PluckerVector
 
 P = NCPartition.parse
@@ -109,6 +113,89 @@ def test_plucker_check_matches_one_swap_oracle(n, count):
     # every nonzero vector is a point of Gr(1, 4), so perturbations show only above n = 2
     assert {new for new, _ in verdicts} == ({True} if n == 2 else {True, False})
 
+
+
+# ---------------------------------------------------------------------------
+# rotated-mask necklaces and the Laplace pass against their direct forms
+
+
+def same_as_direct_forms(delta):
+    assert necklace_of_point(delta) == sorted_necklace_of_point(delta)
+    verdict = plucker_check(delta)
+    assert verdict == det_plucker_check(delta)
+    return verdict
+
+
+def test_kernels_match_direct_forms_on_every_indicator_point():
+    for n in (1, 2, 3, 4):
+        for sigma in enumerate_nc(n):
+            assert same_as_direct_forms(embed(GroveVector.of(n, {sigma: 1})))
+
+
+@pytest.mark.parametrize("n, count", [(2, 8), (3, 8), (4, 8), (5, 3), (6, 2)])
+def test_kernels_match_direct_forms_on_corpus(n, count):
+    rng = random.Random(900 + n)
+    verdicts = {same_as_direct_forms(delta) for delta in slice_points(rng, n, count)}
+    # slice_points perturbs one grove coordinate of each corpus point
+    assert verdicts == ({True} if n == 2 else {True, False})
+
+
+def matrix_point(rows, m):
+    k = len(rows)
+    return PluckerVector.of(
+        m,
+        k,
+        {
+            J: det([[row[j - 1] for j in J] for row in rows])
+            for J in itertools.combinations(range(1, m + 1), k)
+        },
+    )
+
+
+def test_plucker_check_matches_direct_form_on_signed_matrices():
+    # mixed signs and zero entries, so every Laplace sign shows in some minor
+    rng = random.Random(17)
+    perturbed_verdicts = []
+    for m, k in ((4, 2), (5, 2), (5, 3), (6, 3), (7, 3), (8, 4)):
+        for _ in range(4):
+            rows = [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(k)]
+            delta = matrix_point(rows, m)
+            if not delta.support():
+                continue
+            assert same_as_direct_forms(delta)
+            coords = delta.as_dict()
+            coords[rng.choice(sorted(coords))] += 1
+            perturbed_verdicts.append(same_as_direct_forms(PluckerVector.of(m, k, coords)))
+    assert perturbed_verdicts.count(False) > len(perturbed_verdicts) // 2
+
+
+def test_both_forms_reject_a_perturbed_coordinate():
+    coords = gr24_point().as_dict()
+    coords[(2, 4)] -= 1
+    perturbed = PluckerVector.of(4, 2, coords)
+    assert not plucker_check(perturbed)
+    assert not det_plucker_check(perturbed)
+
+
+def test_non_grassmann_necklace_raises_the_same_error(monkeypatch):
+    for delta in (
+        PluckerVector.of(4, 2, {(1, 2): 1, (3, 4): 1}),
+        PluckerVector.of(4, 2, {(1, 2): 1, (1, 3): 1, (2, 3): 1, (3, 4): 1}),
+    ):
+        assert necklace_of_point(delta) == sorted_necklace_of_point(delta)
+        with pytest.raises(ValueError, match="not of Grassmannian type") as new:
+            perm_of_point(delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(grassmann, "necklace_of_point", sorted_necklace_of_point)
+            with pytest.raises(ValueError) as old:
+                perm_of_point(delta)
+        assert str(new.value) == str(old.value)
+
+
+def test_necklace_of_zero_vector_raises():
+    for form in (necklace_of_point, sorted_necklace_of_point):
+        with pytest.raises(ValueError, match="zero vector"):
+            form(PluckerVector.of(5, 2, {}))
 
 def test_chi_rotation():
     delta = gr24_point()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electroid_lab.combinat import (
     Matching,
@@ -10,7 +12,7 @@ from electroid_lab.combinat import (
     matching_of_partition,
 )
 from electroid_lab.corpus import random_matching, random_network, random_weight
-from electroid_lab.grassmann import apply_u
+from electroid_lab.grassmann import apply_u, perm_of_point
 from electroid_lab.medial import medial_pairing, network_of_matching
 from electroid_lab.network import (
     apply_generator,
@@ -77,7 +79,8 @@ def test_reduce_step_recovers_generator():
             a = random_weight(rng)
             bigger = apply_generator(base, i, a)
             delta = point_of(bigger)
-            reduced, a_found = reduce_step(delta, i)
+            reduced, a_found, g = reduce_step(delta, i, perm_of_point(delta))
+            assert g == perm_of_point(reduced)
             assert a_found == a
             assert reduced.projectively_equal(delta0)
 
@@ -85,7 +88,7 @@ def test_reduce_step_recovers_generator():
 def test_reduce_step_rejects_bad_index():
     delta = point_of(hollow_cactus(P("1|2")))
     with pytest.raises(RealizationError):
-        reduce_step(delta, 1)
+        reduce_step(delta, 1, perm_of_point(delta))
 
 
 def test_project_fixed_point_isolated_vertex():
@@ -96,13 +99,13 @@ def test_project_fixed_point_isolated_vertex():
 
     grown = insert_trivial_strand(net, 3)  # isolated vertex 2 on 4 vertices
     delta = point_of(grown)
-    projected = project_fixed_point(delta, 3)
+    projected = project_fixed_point(delta, 3, perm_of_point(delta))
     assert projected.projectively_equal(point_of(net))
 
 
 def test_project_fixed_point_trivial_n2():
     delta = point_of(hollow_cactus(P("1|2")))
-    out = project_fixed_point(delta, 1)
+    out = project_fixed_point(delta, 1, perm_of_point(delta))
     assert out.m == 2 and out.k == 0
     assert out[()] != 0
 
@@ -115,7 +118,7 @@ def test_project_insert_roundtrip_even_and_wrap():
         grown = insert_trivial_strand(net, slot)
         validate(grown)
         delta = point_of(grown)
-        back = project_fixed_point(delta, slot)
+        back = project_fixed_point(delta, slot, perm_of_point(delta))
         assert back.projectively_equal(point_of(net))
 
 
@@ -185,7 +188,6 @@ def test_closure_under_contract_delete():
 
 def test_reduce_step_moves_to_smaller_stratum():
     from electroid_lab.affine import length
-    from electroid_lab.grassmann import perm_of_point
 
     rng = random.Random(20)
     for _ in range(5):
@@ -193,8 +195,8 @@ def test_reduce_step_moves_to_smaller_stratum():
         delta = point_of(net)
         f = perm_of_point(delta)
         i = next(i for i in range(1, 7) if i < f(i) < f(i + 1))
-        reduced, _a = reduce_step(delta, i)
-        f2 = perm_of_point(reduced)
+        reduced, _a, f2 = reduce_step(delta, i, f)
+        assert f2 == perm_of_point(reduced)
         assert length(f2) == length(f) + 2
 
 
@@ -220,4 +222,43 @@ def test_realize_wrap_glue_path():
 def test_project_fixed_point_rejects_wrong_slot():
     delta = point_of(y_network())
     with pytest.raises(RealizationError):
-        project_fixed_point(delta, 1)
+        project_fixed_point(delta, 1, perm_of_point(delta))
+
+
+# ---------------------------------------------------------------------------
+# round trips at scale
+
+
+def assert_round_trip(source):
+    delta = point_of(source)
+    rebuilt = network_from_point(delta)
+    validate(rebuilt)
+    assert point_of(rebuilt).projectively_equal(delta)
+    tau = medial_pairing(source)
+    assert stratum_of_point(delta) == tau
+    assert medial_pairing(rebuilt) == tau
+
+
+def test_network_from_point_seeded_top6():
+    from dataclasses import replace
+
+    from electroid_lab.affine import top_matching
+    from electroid_lab.network import Edge
+
+    net = network_of_matching(top_matching(6))
+    rng = random.Random(6)
+    assert_round_trip(
+        replace(net, edges=tuple(Edge(e.u, e.v, random_weight(rng)) for e in net.edges))
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    shaped=st.booleans(),
+)
+def test_network_from_point_round_trip_property(n, seed, shaped):
+    net, tau = random_network(n, random.Random(seed), shaped=shaped)
+    assert medial_pairing(net) == tau
+    assert_round_trip(net)
